@@ -3,10 +3,11 @@
 
 use eras_bench::harness::bench;
 use eras_data::{FilterIndex, Preset};
+use eras_linalg::pool::ThreadPool;
 use eras_linalg::Rng;
 use eras_sf::zoo;
 use eras_train::eval::link_prediction;
-use eras_train::{BlockModel, Embeddings};
+use eras_train::{BlockModel, Embeddings, RankingMode};
 use std::hint::black_box;
 
 fn bench_link_prediction() {
@@ -23,7 +24,14 @@ fn bench_link_prediction() {
         );
         let triples: Vec<_> = dataset.test.iter().copied().take(n_triples).collect();
         bench(&format!("link_prediction/{n_triples}"), || {
-            black_box(link_prediction(&model, &emb, black_box(&triples), &filter))
+            black_box(link_prediction(
+                &model,
+                &emb,
+                black_box(&triples),
+                &filter,
+                RankingMode::Full,
+                ThreadPool::global(),
+            ))
         });
     }
 }

@@ -21,7 +21,11 @@
 //! 3. Sampled filtered ranking over the test split
 //!    (`sampled_eval_ms`, `dp{1,4}_sampled_mrr`); the two MRRs must
 //!    agree bit-for-bit because data-parallel training is pool-size
-//!    invariant.
+//!    invariant. `random_mrr` is a random scorer's expected MRR over
+//!    the candidates plus the target, H(201)/201, and `mrr_over_random`
+//!    the trained model's multiple of it: after the JSON is written the
+//!    bench exits non-zero unless the sampled MRR beats `random_mrr`,
+//!    in quick and full mode alike.
 //! 4. Bytes-touched accounting — the analytic per-epoch embedding
 //!    traffic of the sparse path vs the dense full-softmax path
 //!    (`sparse_epoch_bytes`, `dense_epoch_bytes`, `touch_ratio`),
@@ -39,9 +43,9 @@ use eras_linalg::optim::Adagrad;
 use eras_linalg::pool::ThreadPool;
 use eras_linalg::Rng;
 use eras_sf::zoo;
-use eras_train::eval::link_prediction_sampled_pool;
+use eras_train::eval::link_prediction;
 use eras_train::parallel::{train_minibatch_parallel, GradShards};
-use eras_train::{BlockModel, Corruption, Embeddings, LossMode, NegCtx};
+use eras_train::{BlockModel, Corruption, Embeddings, LossMode, NegCtx, RankingMode};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -221,13 +225,15 @@ fn main() {
     let mut mrrs = Vec::new();
     for ((pool, state, _, _), &t) in dp.iter().zip(&POOL_SIZES) {
         let t0 = Instant::now();
-        let m = link_prediction_sampled_pool(
+        let m = link_prediction(
             &model,
             &state.emb,
             &ds.test,
             &filter,
-            EVAL_CANDIDATES,
-            EVAL_SEED,
+            RankingMode::Sampled {
+                candidates: EVAL_CANDIDATES,
+                seed: EVAL_SEED,
+            },
             pool,
         );
         let eval_s = t0.elapsed().as_secs_f64();
@@ -249,6 +255,21 @@ fn main() {
         bits_equal,
         "sampled MRR must be pool-size invariant: {mrrs:?}"
     );
+    // Expected MRR of a random scorer ranking the target among
+    // `EVAL_CANDIDATES` others: the mean of 1/r over r = 1..=201.
+    let random_mrr = (1..=EVAL_CANDIDATES + 1)
+        .map(|r| 1.0 / r as f64)
+        .sum::<f64>()
+        / (EVAL_CANDIDATES + 1) as f64;
+    let mrr = mrrs[0];
+    println!(
+        "{:<40} mrr {mrr:.4}  random {random_mrr:.4}  ratio {:.2}",
+        "scale_eval/chance",
+        mrr / random_mrr
+    );
+    results = results
+        .set("random_mrr", random_mrr)
+        .set("mrr_over_random", mrr / random_mrr);
 
     // Analytic embedding traffic per epoch. The sparse path reads and
     // writes, per triple and side, the anchor row plus the positive
@@ -276,5 +297,11 @@ fn main() {
     match save_json("BENCH_scale", &results) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write BENCH_scale.json: {e}"),
+    }
+    // Chance gate, after the report is on disk so a failing run still
+    // leaves its numbers behind.
+    if mrr.is_nan() || mrr <= random_mrr {
+        eprintln!("sampled MRR {mrr:.4} does not beat the random scorer's {random_mrr:.4}");
+        std::process::exit(1);
     }
 }

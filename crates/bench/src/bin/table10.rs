@@ -40,7 +40,7 @@ fn main() {
         eprintln!("=== {} ===", dataset.name);
         for c in Comparator::bilinear() {
             let trained = run_comparator(c, &dataset, &filter, &profile);
-            let acc = classify_dataset(&trained.model, &trained.embeddings, &dataset, &filter, 99);
+            let acc = classify_dataset(&*trained.model, &trained.embeddings, &dataset, &filter, 99);
             eprintln!("  {:<10} acc {:.3}", c.name(), acc);
             cells.push(Cell {
                 model: c.name().into(),

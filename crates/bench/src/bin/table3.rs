@@ -16,7 +16,9 @@ use eras_bench::profiles::{quick_flag, Profile};
 use eras_bench::report::{pct, save_json, Table};
 use eras_data::json::{Json, ToJson};
 use eras_data::{FilterIndex, Preset, RelationPattern};
+use eras_linalg::pool::ThreadPool;
 use eras_train::eval::link_prediction;
+use eras_train::RankingMode;
 
 struct Cell {
     model: String,
@@ -68,7 +70,14 @@ fn main() {
                 if triples.is_empty() {
                     continue;
                 }
-                let m = link_prediction(&trained.model, &trained.embeddings, &triples, &filter);
+                let m = link_prediction(
+                    &*trained.model,
+                    &trained.embeddings,
+                    &triples,
+                    &filter,
+                    RankingMode::Full,
+                    ThreadPool::global(),
+                );
                 cells.push(Cell {
                     model: model.name().into(),
                     dataset: dataset.name.clone(),

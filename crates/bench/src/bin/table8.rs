@@ -14,7 +14,9 @@ use eras_bench::report::{pct, save_json, Table};
 use eras_core::{run_eras, ErasConfig, Variant};
 use eras_data::json::{Json, ToJson};
 use eras_data::{FilterIndex, Preset, RelationPattern};
+use eras_linalg::pool::ThreadPool;
 use eras_train::eval::link_prediction;
+use eras_train::RankingMode;
 
 struct Cell {
     method: String,
@@ -55,7 +57,14 @@ fn main() {
                 if triples.is_empty() {
                     continue;
                 }
-                let m = link_prediction(&outcome.model, &outcome.embeddings, &triples, &filter);
+                let m = link_prediction(
+                    &outcome.model,
+                    &outcome.embeddings,
+                    &triples,
+                    &filter,
+                    RankingMode::Full,
+                    ThreadPool::global(),
+                );
                 eprintln!("  {name} {} Hit@1 {:.3}", pattern.label(), m.hits1);
                 cells.push(Cell {
                     method: name.into(),

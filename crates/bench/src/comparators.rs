@@ -8,9 +8,10 @@
 use crate::profiles::Profile;
 use eras_data::json::{Json, ToJson};
 use eras_data::{Dataset, FilterIndex};
+use eras_linalg::pool::ThreadPool;
 use eras_linalg::Rng;
 use eras_train::baselines::{MarginConfig, RotatE, TransE, TransH, TuckEr};
-use eras_train::eval::{link_prediction, LinkPredictionMetrics, ScoreModel};
+use eras_train::eval::{link_prediction, LinkPredictionMetrics, RankingMode, ScoreModel};
 use eras_train::trainer::train_standalone;
 use eras_train::{BlockModel, Embeddings};
 use std::time::Instant;
@@ -146,6 +147,23 @@ pub struct TrainedModel {
     pub row: EvalRow,
 }
 
+/// Full filtered ranking of the test split on the shared pool.
+fn test_metrics<M: ScoreModel + ?Sized>(
+    model: &M,
+    emb: &Embeddings,
+    dataset: &Dataset,
+    filter: &FilterIndex,
+) -> LinkPredictionMetrics {
+    link_prediction(
+        model,
+        emb,
+        &dataset.test,
+        filter,
+        RankingMode::Full,
+        ThreadPool::global(),
+    )
+}
+
 /// Train a comparator on a dataset and evaluate it on the test split.
 pub fn run_comparator(
     comparator: Comparator,
@@ -208,7 +226,7 @@ pub fn run_comparator(
                     Box::new(m)
                 }
             };
-            let metrics = link_prediction(model.as_ref(), &emb, &dataset.test, filter);
+            let metrics = test_metrics(model.as_ref(), &emb, dataset, filter);
             let row = EvalRow::new(
                 comparator.name(),
                 &dataset.name,
@@ -224,7 +242,7 @@ pub fn run_comparator(
         Comparator::AnyBurl => {
             let model = eras_rules::RuleModel::learn(dataset, &eras_rules::LearnConfig::default());
             let embeddings = model.dummy_embeddings();
-            let metrics = link_prediction(&model, &embeddings, &dataset.test, filter);
+            let metrics = test_metrics(&model, &embeddings, dataset, filter);
             let row = EvalRow::new(
                 comparator.name(),
                 &dataset.name,
@@ -249,7 +267,7 @@ pub fn run_comparator(
             for _ in 0..profile.margin_epochs {
                 m.train_epoch(&mut emb, &dataset.train, &mut rng);
             }
-            let metrics = link_prediction(&m, &emb, &dataset.test, filter);
+            let metrics = test_metrics(&m, &emb, dataset, filter);
             let row = EvalRow::new(
                 comparator.name(),
                 &dataset.name,
@@ -274,7 +292,7 @@ pub fn run_comparator(
             for _ in 0..profile.margin_epochs {
                 m.train_epoch(&mut emb, &dataset.train, &mut rng);
             }
-            let metrics = link_prediction(&m, &emb, &dataset.test, filter);
+            let metrics = test_metrics(&m, &emb, dataset, filter);
             let row = EvalRow::new(
                 comparator.name(),
                 &dataset.name,
@@ -299,7 +317,7 @@ pub fn run_comparator(
             for _ in 0..profile.margin_epochs {
                 m.train_epoch(&mut emb, &dataset.train, &mut rng);
             }
-            let metrics = link_prediction(&m, &emb, &dataset.test, filter);
+            let metrics = test_metrics(&m, &emb, dataset, filter);
             let row = EvalRow::new(
                 comparator.name(),
                 &dataset.name,
@@ -328,7 +346,7 @@ pub fn run_comparator(
             for _ in 0..profile.tucker_epochs {
                 m.train_epoch(&mut emb, &dataset.train);
             }
-            let metrics = link_prediction(&m, &emb, &dataset.test, filter);
+            let metrics = test_metrics(&m, &emb, dataset, filter);
             let row = EvalRow::new(
                 comparator.name(),
                 &dataset.name,

@@ -7,7 +7,7 @@ use eras_data::{Dataset, FilterIndex, Preset, ScalePreset};
 use eras_linalg::pool::ThreadPool;
 use eras_search::evaluator::SearchBudget;
 use eras_search::{autosf, random, tpe};
-use eras_train::eval::{link_prediction, link_prediction_with};
+use eras_train::eval::link_prediction;
 use eras_train::trainer::{
     train_standalone, train_standalone_resumable, CheckpointSpec, Execution, TrainConfig,
 };
@@ -177,14 +177,20 @@ fn loss_mode(args: &Args) -> Result<LossMode, String> {
 
 /// Parse the evaluation protocol from a candidate-count flag: absent →
 /// full filtered ranking; `--<flag> N` → sampled filtered ranking over
-/// N seeded candidates (plus the true entity).
+/// N ≥ 1 seeded candidates (plus the true entity).
 fn ranking_mode(args: &Args, flag: &str) -> Result<RankingMode, String> {
-    Ok(match args.get(flag) {
-        None => RankingMode::Full,
-        Some(_) => RankingMode::Sampled {
-            candidates: args.get_or(flag, 200usize)?,
-            seed: args.get_or("eval-seed", 42u64)?,
-        },
+    if args.get(flag).is_none() {
+        return Ok(RankingMode::Full);
+    }
+    let candidates = args.get_or(flag, 200usize)?;
+    if candidates == 0 {
+        return Err(format!(
+            "--{flag}: need at least one ranking candidate, got 0"
+        ));
+    }
+    Ok(RankingMode::Sampled {
+        candidates,
+        seed: args.get_or("eval-seed", 42u64)?,
     })
 }
 
@@ -451,6 +457,11 @@ pub fn search(args: &Args) -> Result<(), String> {
 
 /// `eras eval`: evaluate saved embeddings with a fixed scoring function.
 pub fn evaluate(args: &Args) -> Result<(), String> {
+    // `--sampled N` ranks each test triple against N seeded candidates
+    // plus the true entity (filtered) instead of the full entity set —
+    // the protocol that keeps evaluation tractable at millions of
+    // entities. Full and sampled runs print the same report shape.
+    let ranking = ranking_mode(args, "sampled")?;
     let dataset = load_dataset(args)?;
     let filter = FilterIndex::build(&dataset);
     let emb_path = args.require("embeddings")?;
@@ -469,12 +480,7 @@ pub fn evaluate(args: &Args) -> Result<(), String> {
     }
     let sf = zoo_by_name(args.get("model").unwrap_or("complex"))?;
     let model = BlockModel::universal(sf, dataset.num_relations());
-    // `--sampled N` ranks each test triple against N seeded candidates
-    // plus the true entity (filtered) instead of the full entity set —
-    // the protocol that keeps evaluation tractable at millions of
-    // entities. Full and sampled runs print the same report shape.
-    let ranking = ranking_mode(args, "sampled")?;
-    let m = link_prediction_with(
+    let m = link_prediction(
         &model,
         &emb,
         &dataset.test,
@@ -511,7 +517,14 @@ pub fn rules(args: &Args) -> Result<(), String> {
         }
     }
     let emb = model.dummy_embeddings();
-    let m = link_prediction(&model, &emb, &dataset.test, &filter);
+    let m = link_prediction(
+        &model,
+        &emb,
+        &dataset.test,
+        &filter,
+        RankingMode::Full,
+        ThreadPool::global(),
+    );
     println!(
         "test: MRR {:.3}  Hit@1 {:.1}%  Hit@10 {:.1}%",
         m.mrr,

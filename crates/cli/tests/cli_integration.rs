@@ -134,6 +134,30 @@ fn generate_then_train_from_tsv_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A sampled-ranking candidate count of 0 is outside input, not a bug:
+/// both commands must refuse it with an error naming the flag (exit 1),
+/// never a panic (exit 101) — and `train` before any training runs.
+#[test]
+fn zero_ranking_candidates_is_an_error_not_a_panic() {
+    for (command, flag) in [("eval", "--sampled"), ("train", "--sampled-eval")] {
+        let out = eras()
+            .args([command, "--preset", "tiny", "--dim", "8", "--epochs", "1"])
+            .args([flag, "0"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag}: need at least one ranking candidate")),
+            "{command}: {stderr}"
+        );
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("training"),
+            "{command} must fail before training"
+        );
+    }
+}
+
 #[test]
 fn rules_command_mines_rules() {
     let out = eras()

@@ -7,13 +7,14 @@ use eras_ctrl::{kmeans, LstmPolicy, ReinforceTrainer};
 use eras_data::{Dataset, FilterIndex, Triple};
 use eras_linalg::cmp::{nan_last_desc_f64, nan_lowest_f64};
 use eras_linalg::optim::Adagrad;
+use eras_linalg::pool::ThreadPool;
 use eras_linalg::Rng;
 use eras_search::SearchTrace;
 use eras_sf::BlockSf;
 use eras_train::block::{train_minibatch, BlockScratch};
 use eras_train::eval::{link_prediction, LinkPredictionMetrics};
 use eras_train::trainer::train_standalone;
-use eras_train::{BlockModel, Embeddings};
+use eras_train::{BlockModel, Embeddings, RankingMode};
 use std::time::Instant;
 
 /// Everything produced by one ERAS run.
@@ -199,7 +200,14 @@ pub fn run_eras(
     // --- Retrain stand-alone (step 12) ------------------------------------
     let model = BlockModel::relation_aware(best_sfs.clone(), assignment.clone());
     let outcome = train_standalone(&model, dataset, filter, &cfg.retrain);
-    let valid_metrics = link_prediction(&model, &outcome.embeddings, &dataset.valid, filter);
+    let valid_metrics = link_prediction(
+        &model,
+        &outcome.embeddings,
+        &dataset.valid,
+        filter,
+        RankingMode::Full,
+        ThreadPool::global(),
+    );
     let evaluation_secs = derive_started.elapsed().as_secs_f64();
 
     ErasOutcome {

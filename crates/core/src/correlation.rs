@@ -11,12 +11,13 @@ use crate::config::ErasConfig;
 use crate::supernet::Supernet;
 use eras_data::{Dataset, FilterIndex, Triple};
 use eras_linalg::optim::Adagrad;
+use eras_linalg::pool::ThreadPool;
 use eras_linalg::stats::{pearson, spearman};
 use eras_linalg::Rng;
 use eras_train::block::{evaluate_loss, train_minibatch, BlockScratch};
 use eras_train::eval::link_prediction;
 use eras_train::trainer::train_standalone;
-use eras_train::{BlockModel, Embeddings};
+use eras_train::{BlockModel, Embeddings, RankingMode};
 
 /// Which one-shot measurement plays the role of `M_val`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +123,11 @@ pub fn one_shot_vs_standalone(
     for sfs in pool {
         let model = BlockModel::relation_aware(sfs, assignment.clone());
         let one_shot = match measure {
-            OneShotMeasure::Mrr => link_prediction(&model, &emb, &dataset.valid, filter).mrr,
+            OneShotMeasure::Mrr => {
+                let threads = ThreadPool::global();
+                let valid = &dataset.valid;
+                link_prediction(&model, &emb, valid, filter, RankingMode::Full, threads).mrr
+            }
             OneShotMeasure::NegLoss => -f64::from(evaluate_loss(&model, &emb, &dataset.valid)),
         };
         let standalone = train_standalone(&model, dataset, filter, &cfg.retrain)

@@ -10,10 +10,11 @@
 //! rewards against the shared embeddings.
 
 use eras_data::{FilterIndex, Triple};
+use eras_linalg::pool::ThreadPool;
 use eras_linalg::Rng;
 use eras_sf::BlockSf;
 use eras_train::eval::link_prediction;
-use eras_train::{BlockModel, Embeddings};
+use eras_train::{BlockModel, Embeddings, RankingMode};
 
 /// Static shape of the relation-aware search space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +101,15 @@ impl Supernet {
             return 0.0;
         }
         let model = BlockModel::relation_aware(sfs, assignment.to_vec());
-        link_prediction(&model, emb, val_batch, filter).mrr
+        link_prediction(
+            &model,
+            emb,
+            val_batch,
+            filter,
+            RankingMode::Full,
+            ThreadPool::global(),
+        )
+        .mrr
     }
 
     /// Sample a uniformly random architecture that satisfies the

@@ -146,7 +146,9 @@ impl ScoreModel for RuleModel {
 mod tests {
     use super::*;
     use eras_data::{FilterIndex, Preset};
+    use eras_linalg::pool::ThreadPool;
     use eras_train::eval::link_prediction;
+    use eras_train::RankingMode;
 
     #[test]
     fn rule_model_beats_chance_on_leaky_dataset() {
@@ -163,7 +165,14 @@ mod tests {
             .into_iter()
             .collect();
         assert!(!inverse_tests.is_empty());
-        let m = link_prediction(&model, &emb, &inverse_tests, &filter);
+        let m = link_prediction(
+            &model,
+            &emb,
+            &inverse_tests,
+            &filter,
+            RankingMode::Full,
+            ThreadPool::global(),
+        );
         // Chance MRR over 150 entities is ≈ 0.03; an inversion rule lifts
         // Hit@1 dramatically on these relations.
         assert!(

@@ -220,38 +220,38 @@ impl BlockModel {
     }
 }
 
-/// Rank `target` among all entities scored against the query vector
-/// `q`, via the fused entity-table scan: the target's score is one dot
-/// product, every other candidate's score streams through a
-/// [`RankTally`] without materializing a score vector. Each streamed
-/// score is bit-identical to the matvec the dense default would rank
-/// over, so this returns exactly what
-/// `filtered_rank(E·q, target, filtered)` does.
-fn rank_with_query(emb: &Embeddings, q: &[f32], target: u32, filtered: &[u32]) -> f64 {
-    let target_score = vecops::dot(emb.entity.row(target as usize), q);
-    let mut tally = RankTally::new(target, target_score, filtered);
-    scan_rows(&emb.entity, q, std::slice::from_mut(&mut tally));
-    tally.rank()
-}
-
-/// Sampled counterpart of [`rank_with_query`]: stream the gathered
-/// candidate rows instead of the whole entity table. Global ids map to
-/// candidate slots (both sorted, so the filtered remap preserves
-/// order); a target outside the sample maps to the `u32::MAX` sentinel
-/// no slot can match — its score still anchors the tally, so the true
-/// answer always competes and is never filtered.
-fn rank_with_query_sampled(
+/// Rank `target` against the query vector `q` via the fused scan over
+/// the entity table (`cand = None`) or over the gathered candidate rows:
+/// the target's score is one dot product, every other candidate's score
+/// streams through a [`RankTally`] without materializing a score vector.
+/// Each streamed score is bit-identical to the matvec the dense default
+/// would rank over, so this returns exactly what the
+/// [`ScoreModel::tail_rank`] default does.
+///
+/// In the sampled case global ids map to candidate slots (both sorted,
+/// so the filtered remap preserves order); a target outside the sample
+/// maps to the `u32::MAX` sentinel no slot can match — its score still
+/// anchors the tally, so the true answer always competes and is never
+/// filtered.
+fn rank_with_query(
     emb: &Embeddings,
     q: &[f32],
     target: u32,
     filtered: &[u32],
-    cand: &CandidateSet,
+    cand: Option<&CandidateSet>,
 ) -> f64 {
     let target_score = vecops::dot(emb.entity.row(target as usize), q);
-    let local_target = cand.local_of(target).unwrap_or(u32::MAX);
-    let local_filt: Vec<u32> = filtered.iter().filter_map(|&f| cand.local_of(f)).collect();
-    let mut tally = RankTally::new(local_target, target_score, &local_filt);
-    scan_rows(cand.rows(), q, std::slice::from_mut(&mut tally));
+    let local_filt: Vec<u32>;
+    let (rows, mut tally) = match cand {
+        None => (&emb.entity, RankTally::new(target, target_score, filtered)),
+        Some(cand) => {
+            let local_target = cand.local_of(target).unwrap_or(u32::MAX);
+            local_filt = filtered.iter().filter_map(|&f| cand.local_of(f)).collect();
+            let tally = RankTally::new(local_target, target_score, &local_filt);
+            (cand.rows(), tally)
+        }
+    };
+    scan_rows(rows, q, std::slice::from_mut(&mut tally));
     tally.rank()
 }
 
@@ -281,11 +281,12 @@ impl ScoreModel for BlockModel {
         r: u32,
         target: u32,
         filtered: &[u32],
-        _scores: &mut [f32],
+        cand: Option<&CandidateSet>,
+        _scores: &mut Vec<f32>,
     ) -> f64 {
         let mut q = vec![0.0; emb.dim()];
         self.tail_query(emb, h, r, &mut q);
-        rank_with_query(emb, &q, target, filtered)
+        rank_with_query(emb, &q, target, filtered, cand)
     }
 
     fn head_rank(
@@ -295,41 +296,12 @@ impl ScoreModel for BlockModel {
         r: u32,
         target: u32,
         filtered: &[u32],
-        _scores: &mut [f32],
+        cand: Option<&CandidateSet>,
+        _scores: &mut Vec<f32>,
     ) -> f64 {
         let mut q = vec![0.0; emb.dim()];
         self.head_query(emb, t, r, &mut q);
-        rank_with_query(emb, &q, target, filtered)
-    }
-
-    fn tail_rank_sampled(
-        &self,
-        emb: &Embeddings,
-        h: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        cand: &CandidateSet,
-        _scores: &mut [f32],
-    ) -> f64 {
-        let mut q = vec![0.0; emb.dim()];
-        self.tail_query(emb, h, r, &mut q);
-        rank_with_query_sampled(emb, &q, target, filtered, cand)
-    }
-
-    fn head_rank_sampled(
-        &self,
-        emb: &Embeddings,
-        t: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        cand: &CandidateSet,
-        _scores: &mut [f32],
-    ) -> f64 {
-        let mut q = vec![0.0; emb.dim()];
-        self.head_query(emb, t, r, &mut q);
-        rank_with_query_sampled(emb, &q, target, filtered, cand)
+        rank_with_query(emb, &q, target, filtered, cand)
     }
 }
 

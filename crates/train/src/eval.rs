@@ -1,11 +1,13 @@
 //! Filtered link-prediction evaluation (Section V-B1 of the paper).
 //!
-//! For every evaluation triple `(h, r, t)` the model ranks `t` against all
-//! entities as the answer to `(h, r, ?)` and `h` against all entities as
-//! the answer to `(?, r, t)`. Candidates that form *other* known true
-//! triples are filtered out; ties are resolved to the average rank so an
-//! untrained constant scorer gets chance-level MRR rather than an
-//! optimistic 1.0.
+//! For every evaluation triple `(h, r, t)` the model ranks `t` as the
+//! answer to `(h, r, ?)` and `h` as the answer to `(?, r, t)`, against
+//! every entity ([`RankingMode::Full`], the paper's protocol) or against
+//! one seeded candidate sample ([`RankingMode::Sampled`]). Candidates
+//! that form *other* known true triples are filtered out; ties are
+//! resolved to the average rank so an untrained constant scorer gets
+//! chance-level MRR rather than an optimistic 1.0. [`link_prediction`]
+//! is the one entry point for both protocols.
 
 use crate::embeddings::Embeddings;
 use eras_data::patterns::RelationPattern;
@@ -103,8 +105,9 @@ impl CandidateSet {
 ///
 /// Implemented by [`crate::BlockModel`] and every baseline in
 /// [`crate::baselines`]; the evaluator and the classification harness are
-/// generic over it.
-pub trait ScoreModel {
+/// generic over it. `Sync` because [`link_prediction`] ranks shards on a
+/// thread pool.
+pub trait ScoreModel: Sync {
     /// Scores of `(h, r, t')` for every entity `t'` into `out`.
     fn score_all_tails(&self, emb: &Embeddings, h: u32, r: u32, out: &mut [f32]);
     /// Scores of `(h', r, t)` for every entity `h'` into `out`.
@@ -113,12 +116,15 @@ pub trait ScoreModel {
     fn score_triple(&self, emb: &Embeddings, triple: Triple) -> f32;
 
     /// Filtered average-tie rank of `target` as the answer to
-    /// `(h, r, ?)`. `scores` is an `num_entities`-sized scratch buffer
-    /// for the default dense path (score everything, then
-    /// [`filtered_rank`]); implementations with a streaming scoring
-    /// path — [`crate::BlockModel`] uses the fused entity-table scan —
-    /// may override and ignore it. Overrides must return exactly what
-    /// the default computes.
+    /// `(h, r, ?)`, among every entity (`cand = None`) or among
+    /// `cand ∪ {target}` (the sampled protocol). The default scores
+    /// every entity into `scores`, growing it to `num_entities`, then
+    /// ranks with [`filtered_rank`] or [`sampled_filtered_rank`].
+    /// Implementations with a streaming scoring path —
+    /// [`crate::BlockModel`] uses the fused entity-table scan — may
+    /// override and leave `scores` untouched. Overrides must return
+    /// exactly what the default computes.
+    #[allow(clippy::too_many_arguments)]
     fn tail_rank(
         &self,
         emb: &Embeddings,
@@ -126,14 +132,17 @@ pub trait ScoreModel {
         r: u32,
         target: u32,
         filtered: &[u32],
-        scores: &mut [f32],
+        cand: Option<&CandidateSet>,
+        scores: &mut Vec<f32>,
     ) -> f64 {
+        scores.resize(emb.num_entities(), 0.0);
         self.score_all_tails(emb, h, r, scores);
-        filtered_rank(scores, target, filtered)
+        dense_rank(scores, target, filtered, cand)
     }
 
     /// Filtered average-tie rank of `target` as the answer to
     /// `(?, r, t)` — see [`ScoreModel::tail_rank`].
+    #[allow(clippy::too_many_arguments)]
     fn head_rank(
         &self,
         emb: &Embeddings,
@@ -141,110 +150,20 @@ pub trait ScoreModel {
         r: u32,
         target: u32,
         filtered: &[u32],
-        scores: &mut [f32],
+        cand: Option<&CandidateSet>,
+        scores: &mut Vec<f32>,
     ) -> f64 {
+        scores.resize(emb.num_entities(), 0.0);
         self.score_all_heads(emb, t, r, scores);
-        filtered_rank(scores, target, filtered)
-    }
-
-    /// Filtered average-tie rank of `target` as the answer to
-    /// `(h, r, ?)` among `cand ∪ {target}` — the sampled protocol. The
-    /// default scores everything and ranks over the sample;
-    /// implementations with a streaming path (BlockModel scans the
-    /// gathered candidate rows) may override. Overrides must return
-    /// exactly what the default computes.
-    #[allow(clippy::too_many_arguments)]
-    fn tail_rank_sampled(
-        &self,
-        emb: &Embeddings,
-        h: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        cand: &CandidateSet,
-        scores: &mut [f32],
-    ) -> f64 {
-        self.score_all_tails(emb, h, r, scores);
-        sampled_filtered_rank(scores, cand.ids(), target, filtered)
-    }
-
-    /// Sampled counterpart of [`ScoreModel::head_rank`] — see
-    /// [`ScoreModel::tail_rank_sampled`].
-    #[allow(clippy::too_many_arguments)]
-    fn head_rank_sampled(
-        &self,
-        emb: &Embeddings,
-        t: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        cand: &CandidateSet,
-        scores: &mut [f32],
-    ) -> f64 {
-        self.score_all_heads(emb, t, r, scores);
-        sampled_filtered_rank(scores, cand.ids(), target, filtered)
+        dense_rank(scores, target, filtered, cand)
     }
 }
 
-impl ScoreModel for Box<dyn ScoreModel> {
-    fn score_all_tails(&self, emb: &Embeddings, h: u32, r: u32, out: &mut [f32]) {
-        self.as_ref().score_all_tails(emb, h, r, out)
-    }
-    fn score_all_heads(&self, emb: &Embeddings, t: u32, r: u32, out: &mut [f32]) {
-        self.as_ref().score_all_heads(emb, t, r, out)
-    }
-    fn score_triple(&self, emb: &Embeddings, triple: Triple) -> f32 {
-        self.as_ref().score_triple(emb, triple)
-    }
-    // Forward the rank methods too, so a boxed BlockModel keeps its
-    // fused-scan override instead of falling back to the dense default.
-    fn tail_rank(
-        &self,
-        emb: &Embeddings,
-        h: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        scores: &mut [f32],
-    ) -> f64 {
-        self.as_ref().tail_rank(emb, h, r, target, filtered, scores)
-    }
-    fn head_rank(
-        &self,
-        emb: &Embeddings,
-        t: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        scores: &mut [f32],
-    ) -> f64 {
-        self.as_ref().head_rank(emb, t, r, target, filtered, scores)
-    }
-    fn tail_rank_sampled(
-        &self,
-        emb: &Embeddings,
-        h: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        cand: &CandidateSet,
-        scores: &mut [f32],
-    ) -> f64 {
-        self.as_ref()
-            .tail_rank_sampled(emb, h, r, target, filtered, cand, scores)
-    }
-    fn head_rank_sampled(
-        &self,
-        emb: &Embeddings,
-        t: u32,
-        r: u32,
-        target: u32,
-        filtered: &[u32],
-        cand: &CandidateSet,
-        scores: &mut [f32],
-    ) -> f64 {
-        self.as_ref()
-            .head_rank_sampled(emb, t, r, target, filtered, cand, scores)
+/// Rank over a materialized score vector: every entity, or the sample.
+fn dense_rank(scores: &[f32], target: u32, filtered: &[u32], cand: Option<&CandidateSet>) -> f64 {
+    match cand {
+        None => filtered_rank(scores, target, filtered),
+        Some(cand) => sampled_filtered_rank(scores, cand.ids(), target, filtered),
     }
 }
 
@@ -263,10 +182,10 @@ pub struct LinkPredictionMetrics {
     pub count: usize,
 }
 
-/// Triples per evaluation shard. Both the sequential and the pooled
-/// evaluator cut the triple set into shards of this size and merge the
-/// per-shard partials with the same fixed reduction tree, so the two
-/// paths produce bit-identical metrics (see [`reduce_counts`]).
+/// Triples per evaluation shard. The evaluator cuts the triple set into
+/// shards of this size and merges the per-shard partials with a fixed
+/// reduction tree, so the metrics are bit-identical for every pool size
+/// (see [`reduce_counts`]).
 const EVAL_SHARD_TRIPLES: usize = 64;
 
 /// Per-shard metric partials: integer hit counts (exact under any
@@ -319,15 +238,19 @@ impl RankCounts {
     }
 }
 
-/// Rank both directions of every triple in one shard. A pure function
-/// of the shard's triples — which worker runs it cannot matter.
+/// Rank both directions of every triple in one shard, against every
+/// entity or against the shared candidate sample. A pure function of
+/// the shard's triples — which worker runs it cannot matter.
 fn eval_shard<M: ScoreModel + ?Sized>(
     model: &M,
     emb: &Embeddings,
     triples: &[Triple],
     filter: &FilterIndex,
-    scores: &mut [f32],
+    cand: Option<&CandidateSet>,
 ) -> RankCounts {
+    // Scratch for the dense default rank path only; the fused
+    // BlockModel scan never grows it.
+    let mut scores = Vec::new();
     let mut counts = RankCounts::default();
     for &t in triples {
         counts.accumulate(model.tail_rank(
@@ -336,7 +259,8 @@ fn eval_shard<M: ScoreModel + ?Sized>(
             t.rel,
             t.tail,
             filter.tails(t.head, t.rel),
-            scores,
+            cand,
+            &mut scores,
         ));
         counts.accumulate(model.head_rank(
             emb,
@@ -344,7 +268,8 @@ fn eval_shard<M: ScoreModel + ?Sized>(
             t.rel,
             t.head,
             filter.heads(t.tail, t.rel),
-            scores,
+            cand,
+            &mut scores,
         ));
     }
     counts
@@ -375,35 +300,7 @@ fn reduce_counts(mut parts: Vec<RankCounts>) -> RankCounts {
 /// `rank = 1 + #{strictly better} + #{ties}/2`, counted over non-filtered
 /// candidates only.
 pub fn filtered_rank(scores: &[f32], target: u32, filtered: &[u32]) -> f64 {
-    let target_score = scores[target as usize];
-    let mut better = 0usize;
-    let mut ties = 0usize;
-    let mut filt_iter = filtered.iter().peekable();
-    for (i, &s) in scores.iter().enumerate() {
-        let i = i as u32;
-        // `filtered` is sorted; advance the cursor and skip matches
-        // (the target itself is always kept).
-        while let Some(&&f) = filt_iter.peek() {
-            if f < i {
-                filt_iter.next();
-            } else {
-                break;
-            }
-        }
-        if i != target {
-            if let Some(&&f) = filt_iter.peek() {
-                if f == i {
-                    continue;
-                }
-            }
-            if s > target_score {
-                better += 1;
-            } else if s == target_score {
-                ties += 1;
-            }
-        }
-    }
-    1.0 + better as f64 + ties as f64 / 2.0
+    rank_among(scores, 0..scores.len() as u32, target, filtered)
 }
 
 /// Filtered average-tie rank of `target` among the candidate ids in
@@ -413,11 +310,22 @@ pub fn filtered_rank(scores: &[f32], target: u32, filtered: &[u32]) -> f64 {
 /// `filtered` (sorted ascending) are skipped. With `ids = 0..N_e` this
 /// computes exactly what [`filtered_rank`] computes.
 pub fn sampled_filtered_rank(scores: &[f32], ids: &[u32], target: u32, filtered: &[u32]) -> f64 {
+    rank_among(scores, ids.iter().copied(), target, filtered)
+}
+
+/// The rank loop behind [`filtered_rank`] and [`sampled_filtered_rank`]:
+/// `ids` and `filtered` are both ascending.
+fn rank_among(
+    scores: &[f32],
+    ids: impl Iterator<Item = u32>,
+    target: u32,
+    filtered: &[u32],
+) -> f64 {
     let target_score = scores[target as usize];
     let mut better = 0usize;
     let mut ties = 0usize;
     let mut filt_iter = filtered.iter().peekable();
-    for &i in ids {
+    for i in ids {
         // `ids` and `filtered` are both sorted; one forward cursor.
         while let Some(&&f) = filt_iter.peek() {
             if f < i {
@@ -426,6 +334,7 @@ pub fn sampled_filtered_rank(scores: &[f32], ids: &[u32], target: u32, filtered:
                 break;
             }
         }
+        // The target itself is always kept, never filtered.
         if i == target {
             continue;
         }
@@ -444,96 +353,17 @@ pub fn sampled_filtered_rank(scores: &[f32], ids: &[u32], target: u32, filtered:
     1.0 + better as f64 + ties as f64 / 2.0
 }
 
-/// Rank both directions of every triple in one shard against the
-/// shared candidate sample. A pure function of the shard's triples.
-fn eval_shard_sampled<M: ScoreModel + ?Sized>(
-    model: &M,
-    emb: &Embeddings,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    cand: &CandidateSet,
-    scores: &mut [f32],
-) -> RankCounts {
-    let mut counts = RankCounts::default();
-    for &t in triples {
-        counts.accumulate(model.tail_rank_sampled(
-            emb,
-            t.head,
-            t.rel,
-            t.tail,
-            filter.tails(t.head, t.rel),
-            cand,
-            scores,
-        ));
-        counts.accumulate(model.head_rank_sampled(
-            emb,
-            t.tail,
-            t.rel,
-            t.head,
-            filter.heads(t.tail, t.rel),
-            cand,
-            scores,
-        ));
-    }
-    counts
-}
-
-/// Evaluate sampled filtered link prediction: every query ranks its
-/// true answer against one shared seeded candidate sample (see
-/// [`RankingMode::Sampled`]). Sharded and tree-reduced exactly like
-/// [`link_prediction`], so the sequential and pooled sampled paths
-/// agree to the last bit; with `candidates ≥ N_e` the result equals
-/// [`link_prediction`] bit for bit.
-pub fn link_prediction_sampled<M: ScoreModel + ?Sized>(
-    model: &M,
-    emb: &Embeddings,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    candidates: usize,
-    seed: u64,
-) -> LinkPredictionMetrics {
-    let cand = CandidateSet::draw(emb, candidates, seed);
-    let mut scores = vec![0.0f32; emb.num_entities()];
-    let parts: Vec<RankCounts> = triples
-        .chunks(EVAL_SHARD_TRIPLES)
-        .map(|shard| eval_shard_sampled(model, emb, shard, filter, &cand, &mut scores))
-        .collect();
-    reduce_counts(parts).finalise()
-}
-
-/// Pooled [`link_prediction_sampled`]: the candidate sample is drawn
-/// once, shards run on the shared pool, and the partials merge with
-/// the same fixed tree as the sequential path — bit-identical metrics
-/// for every pool size.
-pub fn link_prediction_sampled_pool<M: ScoreModel + Sync + ?Sized>(
-    model: &M,
-    emb: &Embeddings,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    candidates: usize,
-    seed: u64,
-    pool: &ThreadPool,
-) -> LinkPredictionMetrics {
-    let cand = CandidateSet::draw(emb, candidates, seed);
-    let shards: Vec<&[Triple]> = triples.chunks(EVAL_SHARD_TRIPLES).collect();
-    let _span = eras_obs::span!(
-        "train.eval.sampled",
-        shards = shards.len(),
-        triples = triples.len(),
-        candidates = cand.len(),
-    );
-    let cand_ref = &cand;
-    let parts = pool.map(shards.len(), |s| {
-        let _shard_span = eras_obs::span!("train.eval.shard", shard = s);
-        let mut scores = vec![0.0f32; emb.num_entities()];
-        eval_shard_sampled(model, emb, shards[s], filter, cand_ref, &mut scores)
-    });
-    reduce_counts(parts).finalise()
-}
-
-/// Dispatch an evaluation over `mode`: the exact pooled evaluator for
-/// [`RankingMode::Full`], the sampled one otherwise.
-pub fn link_prediction_with<M: ScoreModel + Sync + ?Sized>(
+/// Evaluate filtered link prediction over a triple set — the one
+/// evaluator behind training, search, the CLI and the benches.
+///
+/// `mode` picks the candidates: every entity ([`RankingMode::Full`]) or
+/// one seeded sample shared by every query ([`RankingMode::Sampled`]).
+/// The triple set is cut into fixed shards ranked on `pool`, and the
+/// per-shard partials merge with a fixed tree, so the metrics are
+/// bit-identical for every pool size — including a pool of 1 and more
+/// workers than shards. Callers without a pool of their own pass
+/// [`ThreadPool::global`].
+pub fn link_prediction<M: ScoreModel + ?Sized>(
     model: &M,
     emb: &Embeddings,
     triples: &[Triple],
@@ -541,84 +371,49 @@ pub fn link_prediction_with<M: ScoreModel + Sync + ?Sized>(
     mode: RankingMode,
     pool: &ThreadPool,
 ) -> LinkPredictionMetrics {
-    match mode {
-        RankingMode::Full => link_prediction_pool(model, emb, triples, filter, pool),
+    let cand = match mode {
+        RankingMode::Full => None,
         RankingMode::Sampled { candidates, seed } => {
-            link_prediction_sampled_pool(model, emb, triples, filter, candidates, seed, pool)
+            Some(CandidateSet::draw(emb, candidates, seed))
         }
-    }
-}
-
-/// Evaluate filtered link prediction over a triple set.
-///
-/// Internally sharded and tree-reduced exactly like
-/// [`link_prediction_pool`], so the sequential and pooled evaluators
-/// agree to the last bit.
-pub fn link_prediction<M: ScoreModel + ?Sized>(
-    model: &M,
-    emb: &Embeddings,
-    triples: &[Triple],
-    filter: &FilterIndex,
-) -> LinkPredictionMetrics {
-    let mut scores = vec![0.0f32; emb.num_entities()];
-    let parts: Vec<RankCounts> = triples
-        .chunks(EVAL_SHARD_TRIPLES)
-        .map(|shard| eval_shard(model, emb, shard, filter, &mut scores))
-        .collect();
-    reduce_counts(parts).finalise()
-}
-
-/// Pooled [`link_prediction`]: shards the triple set on the shared
-/// thread pool. Every query is independent and the per-shard partials
-/// are merged with the same fixed tree as the sequential path, so the
-/// metrics are bit-identical to [`link_prediction`] for every pool
-/// size — including a pool of 1 and more workers than shards.
-pub fn link_prediction_pool<M: ScoreModel + Sync + ?Sized>(
-    model: &M,
-    emb: &Embeddings,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    pool: &ThreadPool,
-) -> LinkPredictionMetrics {
+    };
+    let cand = cand.as_ref();
     let shards: Vec<&[Triple]> = triples.chunks(EVAL_SHARD_TRIPLES).collect();
     let _span = eras_obs::span!(
-        "train.eval.pooled",
+        "train.eval.rank",
         shards = shards.len(),
         triples = triples.len(),
+        candidates = cand.map_or(emb.num_entities(), CandidateSet::len),
     );
     let parts = pool.map(shards.len(), |s| {
         // Shard spans run on whichever executor claims the index, so a
         // trace shows the actual work distribution across threads.
         let _shard_span = eras_obs::span!("train.eval.shard", shard = s);
-        let mut scores = vec![0.0f32; emb.num_entities()];
-        eval_shard(model, emb, shards[s], filter, &mut scores)
+        eval_shard(model, emb, shards[s], filter, cand)
     });
     reduce_counts(parts).finalise()
 }
 
-/// Multi-threaded [`link_prediction`] with an explicit thread count —
-/// a compatibility wrapper over [`link_prediction_pool`] that sizes a
-/// dedicated pool. Prefer passing [`ThreadPool::global`] to
-/// `link_prediction_pool` so evaluation shares the process-wide worker
-/// set. Results are bit-identical to the sequential version for every
-/// `threads` value.
-pub fn link_prediction_parallel<M: ScoreModel + Sync + ?Sized>(
+/// [`link_prediction`] in [`RankingMode::Sampled`] mode under its
+/// former name. It remains only because the benchmark's `neg-1m`
+/// workload (`perfbench/src/neg.rs`) calls it; everything else calls
+/// [`link_prediction`].
+pub fn link_prediction_sampled_pool<M: ScoreModel + ?Sized>(
     model: &M,
     emb: &Embeddings,
     triples: &[Triple],
     filter: &FilterIndex,
-    threads: usize,
+    candidates: usize,
+    seed: u64,
+    pool: &ThreadPool,
 ) -> LinkPredictionMetrics {
-    let threads = threads.max(1).min(triples.len().max(1));
-    if threads == 1 {
-        return link_prediction(model, emb, triples, filter);
-    }
-    let pool = ThreadPool::new(threads);
-    link_prediction_pool(model, emb, triples, filter, &pool)
+    let mode = RankingMode::Sampled { candidates, seed };
+    link_prediction(model, emb, triples, filter, mode, pool)
 }
 
-/// Per-pattern link prediction on the test split (Tables III and VIII).
-/// Returns one entry per pattern that has at least one test triple.
+/// Per-pattern full filtered link prediction on the test split (Tables
+/// III and VIII). Returns one entry per pattern that has at least one
+/// test triple.
 pub fn link_prediction_by_pattern<M: ScoreModel + ?Sized>(
     model: &M,
     emb: &Embeddings,
@@ -632,7 +427,15 @@ pub fn link_prediction_by_pattern<M: ScoreModel + ?Sized>(
             if triples.is_empty() {
                 None
             } else {
-                Some((p, link_prediction(model, emb, &triples, filter)))
+                let m = link_prediction(
+                    model,
+                    emb,
+                    &triples,
+                    filter,
+                    RankingMode::Full,
+                    ThreadPool::global(),
+                );
+                Some((p, m))
             }
         })
         .collect()
@@ -696,6 +499,37 @@ mod tests {
         (d, f, e)
     }
 
+    /// The Tiny preset with seeded embeddings and an untrained ComplEx
+    /// model — the fixture of the bit-equality tests below.
+    fn tiny_complex(emb_seed: u64) -> (Dataset, FilterIndex, Embeddings, BlockModel) {
+        let dataset = eras_data::Preset::Tiny.build(60);
+        let filter = FilterIndex::build(&dataset);
+        let mut rng = Rng::seed_from_u64(emb_seed);
+        let emb = Embeddings::init(
+            dataset.num_entities(),
+            dataset.num_relations(),
+            16,
+            &mut rng,
+        );
+        let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
+        (dataset, filter, emb, model)
+    }
+
+    /// [`link_prediction`] on the shared global pool.
+    fn evaluate<M: ScoreModel + ?Sized>(
+        model: &M,
+        emb: &Embeddings,
+        triples: &[Triple],
+        filter: &FilterIndex,
+        mode: RankingMode,
+    ) -> LinkPredictionMetrics {
+        link_prediction(model, emb, triples, filter, mode, ThreadPool::global())
+    }
+
+    fn sampled(candidates: usize, seed: u64) -> RankingMode {
+        RankingMode::Sampled { candidates, seed }
+    }
+
     #[test]
     fn filtered_rank_basic() {
         // scores: e0..e4; target e3 (score 5.0); e1 better, e2 filtered.
@@ -729,7 +563,7 @@ mod tests {
             tail_scores,
             head_scores,
         };
-        let m = link_prediction(&model, &e, &d.test, &f);
+        let m = evaluate(&model, &e, &d.test, &f, RankingMode::Full);
         assert_eq!(m.count, 2);
         assert!((m.mrr - 1.0).abs() < 1e-12, "mrr {}", m.mrr);
         assert_eq!(m.hits1, 1.0);
@@ -752,7 +586,7 @@ mod tests {
     fn untrained_block_model_is_near_chance() {
         let (d, f, e) = tiny_dataset();
         let model = BlockModel::universal(zoo::distmult(4), 1);
-        let m = link_prediction(&model, &e, &d.test, &f);
+        let m = evaluate(&model, &e, &d.test, &f, RankingMode::Full);
         // 5 entities: chance MRR with mild filtering is well below 0.9.
         assert!(m.mrr < 0.9);
         assert!(m.mrr > 0.0);
@@ -767,51 +601,30 @@ mod tests {
         assert_eq!(per[0].0, RelationPattern::GeneralAsymmetric);
     }
 
+    /// The evaluator is bit-identical for every pool size in both
+    /// ranking modes: a pool of 1 (every shard inline) is the reference,
+    /// and the more-workers-than-shards and empty-triple-set edges hold
+    /// too.
     #[test]
-    fn link_prediction_parallel_is_bit_identical_to_sequential() {
-        let dataset = eras_data::Preset::Tiny.build(60);
-        let filter = FilterIndex::build(&dataset);
-        let mut rng = Rng::seed_from_u64(1);
-        let emb = Embeddings::init(
-            dataset.num_entities(),
-            dataset.num_relations(),
-            16,
-            &mut rng,
-        );
-        let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
-        let seq = link_prediction(&model, &emb, &dataset.test, &filter);
-        for threads in [1usize, 2, 3, 4] {
-            let par = link_prediction_parallel(&model, &emb, &dataset.test, &filter, threads);
-            assert_eq!(par, seq, "threads {threads}");
-        }
-        // More workers than shards (and than triples).
+    fn link_prediction_is_bit_identical_for_every_pool_size() {
+        let (dataset, filter, emb, model) = tiny_complex(1);
+        let pools: Vec<ThreadPool> = [1usize, 2, 3, 8].map(ThreadPool::new).into();
         let two = &dataset.test[..2.min(dataset.test.len())];
-        let seq_two = link_prediction(&model, &emb, two, &filter);
-        let par_two = link_prediction_parallel(&model, &emb, two, &filter, 16);
-        assert_eq!(par_two, seq_two);
-        // Empty triple set: zero metrics on every path.
-        let empty = link_prediction_parallel(&model, &emb, &[], &filter, 4);
-        assert_eq!(empty, LinkPredictionMetrics::default());
-        assert_eq!(empty, link_prediction(&model, &emb, &[], &filter));
-    }
-
-    #[test]
-    fn pooled_evaluator_matches_sequential_for_every_pool_size() {
-        let dataset = eras_data::Preset::Tiny.build(60);
-        let filter = FilterIndex::build(&dataset);
-        let mut rng = Rng::seed_from_u64(2);
-        let emb = Embeddings::init(
-            dataset.num_entities(),
-            dataset.num_relations(),
-            16,
-            &mut rng,
-        );
-        let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
-        let seq = link_prediction(&model, &emb, &dataset.test, &filter);
-        for threads in [1usize, 2, 3, 8] {
-            let pool = ThreadPool::new(threads);
-            let pooled = link_prediction_pool(&model, &emb, &dataset.test, &filter, &pool);
-            assert_eq!(pooled, seq, "pool size {threads}");
+        for mode in [RankingMode::Full, sampled(40, 11)] {
+            let reference = link_prediction(&model, &emb, &dataset.test, &filter, mode, &pools[0]);
+            assert!(reference.count > 2 * EVAL_SHARD_TRIPLES, "several shards");
+            let reference_two = link_prediction(&model, &emb, two, &filter, mode, &pools[0]);
+            for pool in &pools {
+                let threads = pool.parallelism();
+                let m = link_prediction(&model, &emb, &dataset.test, &filter, mode, pool);
+                assert_eq!(m, reference, "{mode:?}, pool size {threads}");
+                // More workers than shards (and than triples).
+                let m = link_prediction(&model, &emb, two, &filter, mode, pool);
+                assert_eq!(m, reference_two, "{mode:?}, two triples, {threads}");
+                // Empty triple set: zero metrics.
+                let m = link_prediction(&model, &emb, &[], &filter, mode, pool);
+                assert_eq!(m, LinkPredictionMetrics::default(), "{mode:?}, empty");
+            }
         }
     }
 
@@ -837,40 +650,44 @@ mod tests {
     /// streams is bit-identical to the matvec the default ranks over.
     #[test]
     fn fused_rank_path_matches_dense_default_exactly() {
-        let dataset = eras_data::Preset::Tiny.build(60);
-        let filter = FilterIndex::build(&dataset);
-        let mut rng = Rng::seed_from_u64(3);
-        let emb = Embeddings::init(
-            dataset.num_entities(),
-            dataset.num_relations(),
-            16,
-            &mut rng,
+        let (dataset, filter, emb, model) = tiny_complex(3);
+        let fused = evaluate(&model, &emb, &dataset.test, &filter, RankingMode::Full);
+        let dense = evaluate(
+            &DenseOnly(&model),
+            &emb,
+            &dataset.test,
+            &filter,
+            RankingMode::Full,
         );
-        let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
-        let fused = link_prediction(&model, &emb, &dataset.test, &filter);
-        let dense = link_prediction(&DenseOnly(&model), &emb, &dataset.test, &filter);
         assert_eq!(fused, dense);
         // And per-query, on a few triples, through the trait methods.
-        let mut scores = vec![0.0f32; dataset.num_entities()];
+        // The fused path never touches the scratch; the dense default
+        // grows it to one score per entity.
+        let (mut fused_scratch, mut dense_scratch) = (Vec::new(), Vec::new());
         for &t in dataset.test.iter().take(8) {
+            let filtered = filter.tails(t.head, t.rel);
             let f = model.tail_rank(
                 &emb,
                 t.head,
                 t.rel,
                 t.tail,
-                filter.tails(t.head, t.rel),
-                &mut scores,
+                filtered,
+                None,
+                &mut fused_scratch,
             );
             let d = DenseOnly(&model).tail_rank(
                 &emb,
                 t.head,
                 t.rel,
                 t.tail,
-                filter.tails(t.head, t.rel),
-                &mut scores,
+                filtered,
+                None,
+                &mut dense_scratch,
             );
             assert_eq!(f.to_bits(), d.to_bits(), "{t:?}");
         }
+        assert!(fused_scratch.is_empty());
+        assert_eq!(dense_scratch.len(), dataset.num_entities());
     }
 
     /// With `candidates ≥ num_entities` the sampled evaluator must
@@ -879,30 +696,14 @@ mod tests {
     /// fused BlockModel path and the dense default path.
     #[test]
     fn sampled_with_all_candidates_matches_full_exactly() {
-        let dataset = eras_data::Preset::Tiny.build(60);
-        let filter = FilterIndex::build(&dataset);
-        let mut rng = Rng::seed_from_u64(5);
-        let emb = Embeddings::init(
-            dataset.num_entities(),
-            dataset.num_relations(),
-            16,
-            &mut rng,
-        );
-        let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
-        let full = link_prediction(&model, &emb, &dataset.test, &filter);
+        let (dataset, filter, emb, model) = tiny_complex(5);
+        let full = evaluate(&model, &emb, &dataset.test, &filter, RankingMode::Full);
         for candidates in [dataset.num_entities(), dataset.num_entities() * 3] {
-            let sampled =
-                link_prediction_sampled(&model, &emb, &dataset.test, &filter, candidates, 42);
-            assert_eq!(sampled.mrr.to_bits(), full.mrr.to_bits(), "{candidates}");
-            assert_eq!(sampled, full, "{candidates}");
-            let dense = link_prediction_sampled(
-                &DenseOnly(&model),
-                &emb,
-                &dataset.test,
-                &filter,
-                candidates,
-                42,
-            );
+            let mode = sampled(candidates, 42);
+            let m = evaluate(&model, &emb, &dataset.test, &filter, mode);
+            assert_eq!(m.mrr.to_bits(), full.mrr.to_bits(), "{candidates}");
+            assert_eq!(m, full, "{candidates}");
+            let dense = evaluate(&DenseOnly(&model), &emb, &dataset.test, &filter, mode);
             assert_eq!(dense, full, "dense default, {candidates}");
         }
     }
@@ -912,20 +713,11 @@ mod tests {
     /// bit for bit for candidate sets smaller than the entity count.
     #[test]
     fn sampled_fused_path_matches_dense_default_exactly() {
-        let dataset = eras_data::Preset::Tiny.build(60);
-        let filter = FilterIndex::build(&dataset);
-        let mut rng = Rng::seed_from_u64(6);
-        let emb = Embeddings::init(
-            dataset.num_entities(),
-            dataset.num_relations(),
-            16,
-            &mut rng,
-        );
-        let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
+        let (dataset, filter, emb, model) = tiny_complex(6);
         for seed in [0u64, 7, 99] {
-            let fused = link_prediction_sampled(&model, &emb, &dataset.test, &filter, 40, seed);
-            let dense =
-                link_prediction_sampled(&DenseOnly(&model), &emb, &dataset.test, &filter, 40, seed);
+            let mode = sampled(40, seed);
+            let fused = evaluate(&model, &emb, &dataset.test, &filter, mode);
+            let dense = evaluate(&DenseOnly(&model), &emb, &dataset.test, &filter, mode);
             assert_eq!(fused, dense, "seed {seed}");
         }
     }
@@ -935,18 +727,10 @@ mod tests {
     /// the sampled MRR stays pinned for a fixed seed (regression).
     #[test]
     fn sampled_mrr_is_deterministic_and_pool_size_independent() {
-        let dataset = eras_data::Preset::Tiny.build(60);
-        let filter = FilterIndex::build(&dataset);
-        let mut rng = Rng::seed_from_u64(7);
-        let emb = Embeddings::init(
-            dataset.num_entities(),
-            dataset.num_relations(),
-            16,
-            &mut rng,
-        );
-        let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
-        let a = link_prediction_sampled(&model, &emb, &dataset.test, &filter, 50, 123);
-        let b = link_prediction_sampled(&model, &emb, &dataset.test, &filter, 50, 123);
+        let (dataset, filter, emb, model) = tiny_complex(7);
+        let mode = sampled(50, 123);
+        let a = evaluate(&model, &emb, &dataset.test, &filter, mode);
+        let b = evaluate(&model, &emb, &dataset.test, &filter, mode);
         assert_eq!(a.mrr.to_bits(), b.mrr.to_bits());
         // Pinned regression: the sampled protocol is part of the public
         // contract — candidate draws, filtering, and tie handling must
@@ -954,13 +738,12 @@ mod tests {
         assert_eq!(a.mrr.to_bits(), 0x3fb9_327a_3c24_4d8a, "mrr {}", a.mrr);
         for threads in [1usize, 2, 3, 8] {
             let pool = ThreadPool::new(threads);
-            let pooled =
-                link_prediction_sampled_pool(&model, &emb, &dataset.test, &filter, 50, 123, &pool);
+            let pooled = link_prediction(&model, &emb, &dataset.test, &filter, mode, &pool);
             assert_eq!(pooled, a, "pool size {threads}");
         }
         // A different candidate seed is allowed to (and here does)
         // move the metric — the seed is part of the protocol.
-        let c = link_prediction_sampled(&model, &emb, &dataset.test, &filter, 50, 124);
+        let c = evaluate(&model, &emb, &dataset.test, &filter, sampled(50, 124));
         assert!(c.count == a.count);
     }
 
@@ -1020,7 +803,7 @@ mod tests {
         // hits1 <= hits3 <= hits10 and mrr in (0, 1].
         let (d, f, e) = tiny_dataset();
         let model = TableModel::symmetric(vec![5.0, 4.0, 3.0, 2.0, 1.0]);
-        let m = link_prediction(&model, &e, &d.test, &f);
+        let m = evaluate(&model, &e, &d.test, &f, RankingMode::Full);
         assert!(m.hits1 <= m.hits3);
         assert!(m.hits3 <= m.hits10);
         assert!(m.mrr > 0.0 && m.mrr <= 1.0);

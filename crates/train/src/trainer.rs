@@ -10,7 +10,7 @@
 use crate::block::{train_minibatch, BlockModel, BlockScratch};
 use crate::checkpoint::{config_fingerprint, TrainCheckpoint};
 use crate::embeddings::Embeddings;
-use crate::eval::{link_prediction_with, LinkPredictionMetrics, RankingMode};
+use crate::eval::{link_prediction, LinkPredictionMetrics, RankingMode};
 use crate::io::IoError;
 use crate::loss::{Corruption, LossMode};
 use crate::negative::NegCtx;
@@ -343,7 +343,7 @@ pub fn train_standalone_resumable(
             let metrics = {
                 let _eval_span =
                     eras_obs::span!("train.eval", epoch = epoch, triples = dataset.valid.len());
-                link_prediction_with(model, &emb, &dataset.valid, filter, cfg.ranking, pool)
+                link_prediction(model, &emb, &dataset.valid, filter, cfg.ranking, pool)
             };
             evals_counter.inc();
             let valid_mrr = metrics.mrr;
@@ -398,7 +398,7 @@ pub fn train_standalone_resumable(
 
     let test = {
         let _eval_span = eras_obs::span!("train.eval", triples = dataset.test.len());
-        link_prediction_with(model, &emb, &dataset.test, filter, cfg.ranking, pool)
+        link_prediction(model, &emb, &dataset.test, filter, cfg.ranking, pool)
     };
     if dataset.valid.is_empty() {
         best_valid = test;

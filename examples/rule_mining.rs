@@ -20,7 +20,8 @@ fn mrr_on(dataset: &Dataset, model: &RuleModel, pattern: RelationPattern) -> Opt
     }
     let filter = FilterIndex::build(dataset);
     let emb = model.dummy_embeddings();
-    Some(link_prediction(model, &emb, &triples, &filter).mrr)
+    let pool = ThreadPool::global();
+    Some(link_prediction(model, &emb, &triples, &filter, RankingMode::Full, pool).mrr)
 }
 
 fn main() {

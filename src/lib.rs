@@ -53,13 +53,14 @@ pub mod prelude {
     pub use eras_core::variants::Variant;
     pub use eras_data::generator::{generate, GeneratorConfig, RelationSpec};
     pub use eras_data::{Dataset, FilterIndex, Preset, RelationPattern, Triple};
+    pub use eras_linalg::pool::ThreadPool;
     pub use eras_linalg::Rng;
     pub use eras_rules::{LearnConfig, RuleModel};
     pub use eras_serve::{Answer, Direction, Query, QueryEngine};
     pub use eras_sf::{render, zoo, BlockSf, Op};
     pub use eras_train::classify::classify_dataset;
     pub use eras_train::eval::{
-        link_prediction, link_prediction_by_pattern, LinkPredictionMetrics, ScoreModel,
+        link_prediction, link_prediction_by_pattern, LinkPredictionMetrics, RankingMode, ScoreModel,
     };
     pub use eras_train::io::Snapshot;
     pub use eras_train::trainer::{train_standalone, TrainConfig};

@@ -20,7 +20,16 @@ fn trained_pattern_hits1(
     let outcome = train_standalone(&model, dataset, filter, &cfg);
     let triples = dataset.test_triples_with_pattern(pattern);
     assert!(!triples.is_empty(), "{pattern:?} slice empty");
-    link_prediction(&model, &outcome.embeddings, &triples, filter).mrr
+    let pool = ThreadPool::global();
+    link_prediction(
+        &model,
+        &outcome.embeddings,
+        &triples,
+        filter,
+        RankingMode::Full,
+        pool,
+    )
+    .mrr
 }
 
 /// DistMult is structurally symmetric: on symmetric relations it should
