@@ -620,6 +620,7 @@ pub fn train_minibatch_parallel(
     }
     let dim = emb.dim();
     let num_shards = batch.len().div_ceil(SHARD_TRIPLES);
+    let _step = eras_obs::span!("train.step", triples = batch.len(), shards = num_shards);
     // Full-softmax shards are dense, so only a bounded window of them
     // is live at once and the batch runs as super-steps over that
     // window; sampled shards are sparse and all stay live. The window
@@ -644,6 +645,7 @@ pub fn train_minibatch_parallel(
     while step_base < num_shards {
         let count = window.min(num_shards - step_base);
         {
+            let _grad = eras_obs::span!("train.step.grad");
             let emb_ref: &Embeddings = emb;
             let cells = ShardCells(&shards[..count]);
             let cells_ref = &cells;
@@ -672,6 +674,7 @@ pub fn train_minibatch_parallel(
         // The tree shape depends only on the step's shard count, so the
         // floating-point sums are bit-identical regardless of how the
         // pool scheduled the shards above.
+        let _reduce = eras_obs::span!("train.step.reduce");
         let mut stride = 1;
         while stride < count {
             let mut i = 0;
@@ -699,6 +702,7 @@ pub fn train_minibatch_parallel(
     // Apply the merged gradient once per touched row, ascending — a
     // fixed order, and one optimizer pass per batch instead of one per
     // example side.
+    let _apply = eras_obs::span!("train.step.reduce");
     root.entity.touched.sort_unstable();
     root.relation.touched.sort_unstable();
     for &r in &root.entity.touched {
@@ -739,78 +743,168 @@ mod tests {
             .collect()
     }
 
+    /// Triples spread over `entities` rows, so that most gradient rows
+    /// of a batch come from a single shard.
+    fn spread(n: usize, entities: usize) -> Vec<Triple> {
+        let e = entities as u64;
+        (0..n as u64)
+            .map(|i| {
+                let head = (i * 7_919 + 3) % e;
+                let tail = (i * 104_729 + 17) % e;
+                Triple::new(head as u32, (i % 3) as u32, tail as u32)
+            })
+            .collect()
+    }
+
+    /// Everything a data-parallel run leaves behind.
+    struct Run {
+        emb: Embeddings,
+        loss: f32,
+        opt_e: Adagrad,
+        opt_r: Adagrad,
+    }
+
+    impl Run {
+        /// FNV-1a over the bits of the loss, both tables and both
+        /// Adagrad accumulators, chained onto `h`.
+        fn hash(&self, mut h: u64) -> u64 {
+            let words = std::iter::once(self.loss)
+                .chain(self.emb.entity.as_slice().iter().copied())
+                .chain(self.emb.relation.as_slice().iter().copied())
+                .chain(self.opt_e.accumulator().iter().copied())
+                .chain(self.opt_r.accumulator().iter().copied());
+            for w in words {
+                for b in w.to_bits().to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            h
+        }
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
     fn run_training(
         pool_size: usize,
         mode: LossMode,
         n3: f32,
-        batch_len: usize,
+        data: &[Triple],
+        entities: usize,
         steps: usize,
-    ) -> (Embeddings, f32) {
+    ) -> Run {
         let pool = ThreadPool::new(pool_size);
         let mut rng = Rng::seed_from_u64(99);
-        let mut emb = Embeddings::init(40, 3, 16, &mut rng);
+        let mut emb = Embeddings::init(entities, 3, 16, &mut rng);
         let model = BlockModel::universal(zoo::complex(), 3);
         let mut opt_e = Adagrad::new(emb.entity.as_slice().len(), 0.1, 1e-4);
         let mut opt_r = Adagrad::new(emb.relation.as_slice().len(), 0.1, 1e-4);
         let mut state = GradShards::new();
-        let data = planted(batch_len);
         let filter = FilterIndex::from_triples(data.iter().copied());
         let neg_ctx = match mode {
             LossMode::NegSampling {
                 corruption: Corruption::Bernoulli,
                 ..
-            } => NegCtx::bernoulli(&filter, &data, 3),
+            } => NegCtx::bernoulli(&filter, data, 3),
             _ => NegCtx::uniform(&filter),
         };
         let neg = matches!(mode, LossMode::NegSampling { .. }).then_some(&neg_ctx);
         let mut loss = 0.0;
         for _ in 0..steps {
             loss = train_minibatch_parallel(
-                &model, &mut emb, &mut opt_e, &mut opt_r, &data, mode, neg, n3, &mut rng, &pool,
+                &model, &mut emb, &mut opt_e, &mut opt_r, data, mode, neg, n3, &mut rng, &pool,
                 &mut state,
             );
         }
-        (emb, loss)
+        Run {
+            emb,
+            loss,
+            opt_e,
+            opt_r,
+        }
     }
 
-    fn assert_bit_identical_across_pool_sizes(batch_len: usize, steps: usize) {
-        for mode in [
-            LossMode::Full,
-            LossMode::Sampled { negatives: 8 },
-            LossMode::NegSampling {
-                negatives: 4,
-                gamma: 6.0,
-                adversarial_temp: 1.0,
-                corruption: Corruption::Uniform,
-            },
-            LossMode::NegSampling {
-                negatives: 4,
-                gamma: 6.0,
-                adversarial_temp: 0.0,
-                corruption: Corruption::Bernoulli,
-            },
-        ] {
-            let (ref_emb, ref_loss) = run_training(1, mode, 1e-3, batch_len, steps);
-            for threads in [2usize, 3, 8] {
-                let (emb, loss) = run_training(threads, mode, 1e-3, batch_len, steps);
-                assert_eq!(
-                    ref_emb.entity.as_slice(),
-                    emb.entity.as_slice(),
-                    "entity table diverged at {threads} threads ({mode:?})"
-                );
-                assert_eq!(
-                    ref_emb.relation.as_slice(),
-                    emb.relation.as_slice(),
-                    "relation table diverged at {threads} threads ({mode:?})"
-                );
-                assert_eq!(ref_loss, loss, "loss diverged at {threads} threads");
+    const FULL: LossMode = LossMode::Full;
+    const SAMPLED: LossMode = LossMode::Sampled { negatives: 8 };
+    const NEG_UNIFORM: LossMode = LossMode::NegSampling {
+        negatives: 4,
+        gamma: 6.0,
+        adversarial_temp: 1.0,
+        corruption: Corruption::Uniform,
+    };
+    const NEG_BERNOULLI: LossMode = LossMode::NegSampling {
+        negatives: 4,
+        gamma: 6.0,
+        adversarial_temp: 0.0,
+        corruption: Corruption::Bernoulli,
+    };
+
+    /// Every pool size must reproduce pool 1 bit for bit, and pool 1
+    /// must reproduce `pinned`: one FNV-1a hash per mode over its runs
+    /// with N3 on and off. The pins were taken from the stride-doubling
+    /// shard merge this module started with; a reduction rewrite that
+    /// moves any sum, for every pool size alike, fails here.
+    fn assert_bit_identical_across_pool_sizes(
+        data: &[Triple],
+        entities: usize,
+        steps: usize,
+        modes: &[LossMode],
+        pinned: &[u64],
+    ) {
+        let mut got = Vec::new();
+        for &mode in modes {
+            let mut h = FNV_OFFSET;
+            for n3 in [1e-3, 0.0] {
+                let reference = run_training(1, mode, n3, data, entities, steps);
+                for threads in [2usize, 3, 8] {
+                    let run = run_training(threads, mode, n3, data, entities, steps);
+                    assert_eq!(
+                        reference.emb.entity.as_slice(),
+                        run.emb.entity.as_slice(),
+                        "entity table diverged at {threads} threads ({mode:?}, n3 {n3})"
+                    );
+                    assert_eq!(
+                        reference.emb.relation.as_slice(),
+                        run.emb.relation.as_slice(),
+                        "relation table diverged at {threads} threads ({mode:?}, n3 {n3})"
+                    );
+                    assert_eq!(
+                        reference.opt_e.accumulator(),
+                        run.opt_e.accumulator(),
+                        "entity Adagrad state diverged at {threads} threads ({mode:?}, n3 {n3})"
+                    );
+                    assert_eq!(
+                        reference.opt_r.accumulator(),
+                        run.opt_r.accumulator(),
+                        "relation Adagrad state diverged at {threads} threads ({mode:?}, n3 {n3})"
+                    );
+                    assert_eq!(
+                        reference.loss.to_bits(),
+                        run.loss.to_bits(),
+                        "loss diverged at {threads} threads ({mode:?}, n3 {n3})"
+                    );
+                }
+                h = reference.hash(h);
             }
+            got.push(h);
         }
+        assert_eq!(got, pinned, "pinned step bits moved ({modes:?})");
     }
 
     #[test]
     fn bit_identical_across_pool_sizes() {
-        assert_bit_identical_across_pool_sizes(100, 10);
+        assert_bit_identical_across_pool_sizes(
+            &planted(100),
+            40,
+            10,
+            &[FULL, SAMPLED, NEG_UNIFORM, NEG_BERNOULLI],
+            &[
+                12107767735115302002,
+                7978711869441149581,
+                15642582198556770205,
+                15236889486692239453,
+            ],
+        );
     }
 
     #[test]
@@ -820,7 +914,37 @@ mod tests {
         // tree plus the cross-step fold must stay a pure function of
         // the batch length, for full and partial windows alike.
         assert!(300usize.div_ceil(SHARD_TRIPLES) > FULL_LIVE_SHARDS);
-        assert_bit_identical_across_pool_sizes(300, 3);
+        assert_bit_identical_across_pool_sizes(
+            &planted(300),
+            40,
+            3,
+            &[FULL, SAMPLED, NEG_UNIFORM, NEG_BERNOULLI],
+            &[
+                15199976370169404798,
+                8041856382118033873,
+                10894619073778243375,
+                10152131419250626473,
+            ],
+        );
+    }
+
+    #[test]
+    fn bit_identical_across_pool_sizes_with_mostly_distinct_rows() {
+        // 1 024 triples over 50 000 entities: 32 shards whose sampled
+        // rows rarely meet, so most reduced rows have a single source
+        // shard. (Full mode touches every row from every shard, so the
+        // 40-entity cases above already cover it.)
+        assert_bit_identical_across_pool_sizes(
+            &spread(1024, 50_000),
+            50_000,
+            2,
+            &[SAMPLED, NEG_UNIFORM, NEG_BERNOULLI],
+            &[
+                18337039122137573491,
+                10103468872417430728,
+                9333753245579857504,
+            ],
+        );
     }
 
     #[test]
