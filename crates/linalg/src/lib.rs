@@ -55,6 +55,6 @@ pub mod sync;
 pub mod vecops;
 
 pub use matrix::Matrix;
-pub use optim::{Adagrad, Adam, Optimizer, Sgd};
+pub use optim::{Adagrad, AdagradRange, AdagradRanges, Adam, Optimizer, Sgd};
 pub use pool::{PoolStats, ThreadPool};
 pub use rng::Rng;

@@ -7,6 +7,8 @@
 //! the parameter buffer at a given offset, keeping per-parameter state
 //! aligned with the full buffer.
 
+use std::marker::PhantomData;
+
 /// Common interface: stateful update of `params[offset .. offset+grad.len()]`
 /// given the gradient of that slice.
 pub trait Optimizer {
@@ -98,6 +100,37 @@ impl Adagrad {
     }
 }
 
+impl Adagrad {
+    /// Split `params` and this optimizer's state into disjoint ranges
+    /// of `span` values each (range `k` covers `k·span ..`), so that
+    /// rows in different ranges can be updated from different threads
+    /// at once. Each range updates exactly as [`Optimizer::step_at`]
+    /// would, with the same checks.
+    pub fn ranges<'a>(&'a mut self, params: &'a mut [f32], span: usize) -> AdagradRanges<'a> {
+        AdagradRanges {
+            lr: self.lr,
+            l2: self.l2,
+            eps: self.eps,
+            params: params.as_mut_ptr(),
+            params_len: params.len(),
+            accum: self.accum.as_mut_ptr(),
+            accum_len: self.accum.len(),
+            span: span.max(1),
+            _borrow: PhantomData,
+        }
+    }
+}
+
+/// One Adagrad update of `p` (with its state `a`) by `grad`; the single
+/// definition every entry point shares, so they agree bit for bit.
+fn adagrad_update(lr: f32, l2: f32, eps: f32, p: &mut [f32], a: &mut [f32], grad: &[f32]) {
+    for i in 0..grad.len() {
+        let g = grad[i] + l2 * p[i];
+        a[i] += g * g;
+        p[i] -= lr * g / (a[i].sqrt() + eps);
+    }
+}
+
 impl Optimizer for Adagrad {
     fn step_at(&mut self, params: &mut [f32], offset: usize, grad: &[f32]) {
         assert!(
@@ -106,11 +139,7 @@ impl Optimizer for Adagrad {
         );
         let p = &mut params[offset..offset + grad.len()];
         let a = &mut self.accum[offset..offset + grad.len()];
-        for i in 0..grad.len() {
-            let g = grad[i] + self.l2 * p[i];
-            a[i] += g * g;
-            p[i] -= self.lr * g / (a[i].sqrt() + self.eps);
-        }
+        adagrad_update(self.lr, self.l2, self.eps, p, a, grad);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -119,6 +148,99 @@ impl Optimizer for Adagrad {
 
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
+    }
+}
+
+/// A parameter table and its [`Adagrad`] state, split into disjoint
+/// ranges of `span` values (see [`Adagrad::ranges`]). Shared between
+/// threads; each thread takes the ranges it owns with
+/// [`AdagradRanges::range`].
+pub struct AdagradRanges<'a> {
+    lr: f32,
+    l2: f32,
+    eps: f32,
+    params: *mut f32,
+    params_len: usize,
+    accum: *mut f32,
+    accum_len: usize,
+    span: usize,
+    /// Both buffers stay mutably borrowed for `'a`.
+    _borrow: PhantomData<&'a mut [f32]>,
+}
+
+// SAFETY: the handle only hands out `&mut` views through the unsafe
+// `range`, whose contract makes views of one range exclusive; views of
+// distinct ranges cover disjoint values of buffers borrowed for `'a`.
+// audit:allow(W406): disjoint per-range views, exclusivity is `range`'s contract
+unsafe impl Sync for AdagradRanges<'_> {}
+
+impl AdagradRanges<'_> {
+    /// The update view of range `k`: values `k·span .. (k+1)·span` of
+    /// the table, clamped to the buffers.
+    ///
+    /// # Safety
+    ///
+    /// At most one view of a given `k` may be live at a time.
+    // SAFETY: sound under that contract — views of distinct `k` cover
+    // disjoint values of the borrowed buffers.
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn range(&self, k: usize) -> AdagradRange<'_> {
+        let base = k.saturating_mul(self.span);
+        let end = base.saturating_add(self.span);
+        let (p_lo, p_hi) = (base.min(self.params_len), end.min(self.params_len));
+        let (a_lo, a_hi) = (base.min(self.accum_len), end.min(self.accum_len));
+        // SAFETY: both ranges lie inside their buffers, which `ranges`
+        // borrowed mutably for the handle's lifetime; views of distinct
+        // `k` are disjoint, and the caller keeps views of one `k`
+        // exclusive.
+        let (params, accum) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(self.params.add(p_lo), p_hi - p_lo),
+                std::slice::from_raw_parts_mut(self.accum.add(a_lo), a_hi - a_lo),
+            )
+        };
+        AdagradRange {
+            lr: self.lr,
+            l2: self.l2,
+            eps: self.eps,
+            base,
+            accum_len: self.accum_len,
+            params,
+            accum,
+        }
+    }
+}
+
+/// One range of an [`AdagradRanges`] split.
+pub struct AdagradRange<'a> {
+    lr: f32,
+    l2: f32,
+    eps: f32,
+    /// Table offset of `params[0]`.
+    base: usize,
+    /// Length of the whole optimizer state.
+    accum_len: usize,
+    params: &'a mut [f32],
+    accum: &'a mut [f32],
+}
+
+impl AdagradRange<'_> {
+    /// [`Optimizer::step_at`] for a slice inside this range: `offset`
+    /// indexes the whole table. Panics like `step_at` when the state is
+    /// too small, and when the slice leaves the range.
+    pub fn step_at(&mut self, offset: usize, grad: &[f32]) {
+        assert!(
+            offset + grad.len() <= self.accum_len,
+            "optimizer state too small"
+        );
+        assert!(
+            offset >= self.base && offset + grad.len() <= self.base + self.params.len(),
+            "row outside this optimizer range"
+        );
+        let at = offset - self.base;
+        let p = &mut self.params[at..at + grad.len()];
+        let a = &mut self.accum[at..at + grad.len()];
+        adagrad_update(self.lr, self.l2, self.eps, p, a, grad);
     }
 }
 
@@ -263,6 +385,52 @@ mod tests {
             params[1]
         );
         assert!(p0_after_50 < params[1]);
+    }
+
+    #[test]
+    fn ranges_update_like_step_at() {
+        let grads: Vec<f32> = (0..10).map(|i| (i as f32 * 0.7).sin()).collect();
+        let mut whole = Adagrad::new(10, 0.1, 1e-3);
+        let mut split = whole.clone();
+        let mut p_whole: Vec<f32> = (0..10).map(|i| i as f32 * 0.1 - 0.4).collect();
+        let mut p_split = p_whole.clone();
+        for _ in 0..3 {
+            for row in 0..5 {
+                whole.step_at(&mut p_whole, row * 2, &grads[row * 2..row * 2 + 2]);
+            }
+            let ranges = split.ranges(&mut p_split, 4);
+            for k in 0..3 {
+                // SAFETY: one view per range at a time.
+                let mut view = unsafe { ranges.range(k) };
+                for row in (2 * k..2 * k + 2).filter(|&r| r < 5) {
+                    view.step_at(row * 2, &grads[row * 2..row * 2 + 2]);
+                }
+            }
+        }
+        assert_eq!(p_whole, p_split);
+        assert_eq!(whole.accumulator(), split.accumulator());
+    }
+
+    #[test]
+    #[should_panic(expected = "row outside this optimizer range")]
+    fn range_rejects_rows_of_another_range() {
+        let mut opt = Adagrad::new(8, 0.1, 0.0);
+        let mut params = vec![0.0f32; 8];
+        let ranges = opt.ranges(&mut params, 4);
+        // SAFETY: the only view.
+        let mut view = unsafe { ranges.range(0) };
+        view.step_at(3, &[1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "optimizer state too small")]
+    fn range_keeps_the_state_size_check() {
+        let mut opt = Adagrad::new(4, 0.1, 0.0);
+        let mut params = vec![0.0f32; 8];
+        let ranges = opt.ranges(&mut params, 8);
+        // SAFETY: the only view.
+        let mut view = unsafe { ranges.range(0) };
+        view.step_at(4, &[1.0, 1.0]);
     }
 
     #[test]

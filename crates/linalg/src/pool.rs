@@ -39,10 +39,12 @@
 //!
 //! ## Counters
 //!
-//! Each pool tracks how many jobs were dispatched and how many tasks ran
-//! ([`ThreadPool::stats`]). Because the pool is steal-free by
-//! construction, `dispatches` doubles as the steal-free dispatch count —
-//! there is no slow path to fall back to.
+//! Each pool counts the jobs it published to its workers, the calls it
+//! ran inline on the caller instead (worker-less pool, single task,
+//! nested or contended dispatch), and the tasks either kind ran
+//! ([`ThreadPool::stats`]; mirrored process-wide as `pool.dispatches`,
+//! `pool.inline_dispatches` and `pool.tasks`). A call with no tasks
+//! counts as neither.
 
 use crate::faults;
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
@@ -74,14 +76,13 @@ thread_local! {
 /// Snapshot of a pool's dispatch counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Jobs published to the pool (each `run`/`map` call is one).
+    /// `run`/`map` calls whose job was published to the workers.
     pub dispatches: u64,
-    /// Individual task indices executed across all jobs.
+    /// `run`/`map` calls that ran all their tasks on the caller: a
+    /// worker-less pool, a single task, or a nested or contended call.
+    pub inline: u64,
+    /// Individual task indices executed, published or inline.
     pub tasks: u64,
-    /// Steal-free dispatches. The pool has no stealing path, so this
-    /// always equals `dispatches`; it is kept separate so the invariant
-    /// is observable.
-    pub steal_free_dispatches: u64,
 }
 
 /// One published job: a type-erased `Fn(usize)` plus the shared cursor.
@@ -147,6 +148,7 @@ pub struct ThreadPool {
     /// instead of blocking (see [`ThreadPool::run`]).
     dispatch: Mutex<()>,
     dispatches: AtomicU64,
+    inline: AtomicU64,
     tasks: AtomicU64,
     /// Process-wide mirrors of the per-pool counters, registered in the
     /// obs global registry (`pool.*`) so `/metrics` sees every pool.
@@ -189,6 +191,7 @@ impl ThreadPool {
             parallelism,
             dispatch: Mutex::new(()),
             dispatches: AtomicU64::new(0),
+            inline: AtomicU64::new(0),
             tasks: AtomicU64::new(0),
             obs_dispatches: registry.counter("pool.dispatches"),
             obs_tasks: registry.counter("pool.tasks"),
@@ -219,11 +222,10 @@ impl ThreadPool {
 
     /// Dispatch counters.
     pub fn stats(&self) -> PoolStats {
-        let dispatches = self.dispatches.load(Ordering::Relaxed);
         PoolStats {
-            dispatches,
+            dispatches: self.dispatches.load(Ordering::Relaxed),
+            inline: self.inline.load(Ordering::Relaxed),
             tasks: self.tasks.load(Ordering::Relaxed),
-            steal_free_dispatches: dispatches,
         }
     }
 
@@ -237,9 +239,7 @@ impl ThreadPool {
     where
         F: Fn(usize) + Sync,
     {
-        self.dispatches.fetch_add(1, Ordering::Relaxed);
         self.tasks.fetch_add(tasks as u64, Ordering::Relaxed);
-        self.obs_dispatches.inc();
         self.obs_tasks.add(tasks as u64);
         if tasks == 0 {
             return;
@@ -247,14 +247,8 @@ impl ThreadPool {
         // Degenerate, tiny, or nested dispatch: run inline, skip the
         // barrier. Nested means we are already inside a pool task (see
         // `IN_POOL_TASK`).
-        let nested = IN_POOL_TASK.with(Cell::get);
-        if self.workers.is_empty() || tasks == 1 || nested {
-            if nested {
-                self.obs_inline.inc();
-            }
-            for i in 0..tasks {
-                f(i);
-            }
+        if self.workers.is_empty() || tasks == 1 || IN_POOL_TASK.with(Cell::get) {
+            self.run_inline(tasks, &f);
             return;
         }
         // Claim the single job slot. If another OS thread is mid-
@@ -271,13 +265,12 @@ impl ThreadPool {
             // itself is back in a sound state (its job was drained).
             Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
             Err(std::sync::TryLockError::WouldBlock) => {
-                self.obs_inline.inc();
-                for i in 0..tasks {
-                    f(i);
-                }
+                self.run_inline(tasks, &f);
                 return;
             }
         };
+        self.dispatches.fetch_add(1, Ordering::Relaxed);
+        self.obs_dispatches.inc();
 
         // SAFETY: caller must pass a `ptr` obtained from `&F` that
         // outlives the call; `run` passes the borrow it holds for the
@@ -328,6 +321,15 @@ impl ThreadPool {
         if job.panicked.load(Ordering::Acquire) {
             // audit:allow(E701): deliberate re-panic propagating a task panic to the dispatching caller
             panic!("a thread-pool task panicked");
+        }
+    }
+
+    /// Run every task on the calling thread, counted as inline.
+    fn run_inline(&self, tasks: usize, f: &impl Fn(usize)) {
+        self.inline.fetch_add(1, Ordering::Relaxed);
+        self.obs_inline.inc();
+        for i in 0..tasks {
+            f(i);
         }
     }
 
@@ -534,6 +536,9 @@ mod tests {
         pool.run(0, |_| panic!("no tasks to run"));
         let one = pool.map(1, |i| i + 41);
         assert_eq!(one, vec![41]);
+        // The empty call counts as nothing; the single task ran inline.
+        let stats = pool.stats();
+        assert_eq!((stats.dispatches, stats.inline, stats.tasks), (0, 1, 1));
     }
 
     #[test]
@@ -551,9 +556,10 @@ mod tests {
             let out = pool.map(round % 7 + 1, |i| i);
             total += out.len();
         }
+        // Rounds 0, 7, …, 49 have a single task, which runs inline.
         let stats = pool.stats();
-        assert_eq!(stats.dispatches, 50);
-        assert_eq!(stats.steal_free_dispatches, 50);
+        assert_eq!(stats.dispatches, 42);
+        assert_eq!(stats.inline, 8);
         assert_eq!(stats.tasks as usize, total);
     }
 
@@ -585,6 +591,9 @@ mod tests {
         let pool = ThreadPool::new(0);
         assert_eq!(pool.parallelism(), 1);
         assert_eq!(pool.map(5, |i| i).len(), 5);
+        // A worker-less pool publishes nothing.
+        let stats = pool.stats();
+        assert_eq!((stats.dispatches, stats.inline, stats.tasks), (0, 1, 5));
     }
 
     #[test]
@@ -630,11 +639,13 @@ mod tests {
         assert!(hits
             .iter()
             .all(|h| h.load(Ordering::Relaxed) == rounds as u32));
+        let stats = pool.stats();
         assert_eq!(
-            pool.stats().dispatches,
+            stats.dispatches + stats.inline,
             (dispatchers * rounds) as u64,
-            "every dispatch, contended or not, is counted"
+            "every call counts once: published, or inline when contended"
         );
+        assert_eq!(stats.tasks, (dispatchers * rounds * tasks) as u64);
     }
 
     #[test]
@@ -649,5 +660,12 @@ mod tests {
             });
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        // The outer call is the one published job; each nested call ran
+        // inline on whichever executor claimed its outer task.
+        let stats = pool.stats();
+        assert_eq!(
+            (stats.dispatches, stats.inline, stats.tasks),
+            (1, 8, 8 + 8 * 16)
+        );
     }
 }

@@ -16,14 +16,25 @@
 //!    against the batch-start embeddings into its own accumulator
 //!    (entity/relation tables with touched-row tracking, so
 //!    [`LossMode::Sampled`] shards stay sparse). No shard writes
-//!    anything another shard reads.
-//! 3. **Fixed tree reduction.** Shard accumulators are merged
-//!    sequentially with stride doubling (`s[i] += s[i + stride]`,
-//!    stride 1, 2, 4, …). Floating-point addition is not associative;
-//!    fixing the reduction *tree* — not just the set of addends — is
-//!    what makes the sums bit-identical for every pool size.
-//! 4. **Single application.** The optimizer applies the merged gradient
-//!    once per touched row in ascending row order.
+//!    anything another shard reads, and each shard's task empties the
+//!    shard before it starts.
+//! 3. **Fixed-shape reduction, split by row.** A second pool dispatch
+//!    cuts the entity and relation tables into fixed row ranges
+//!    (`REDUCE_RANGES` per table). Each range task gathers its rows from
+//!    every shard and sums each row in one fixed shape: a stride-doubling
+//!    tree within each reduction window (`s[i] += s[i + stride]`, stride
+//!    1, 2, 4, …, where a shard that lacks the row counts as a fresh zero
+//!    row, so a lone right-hand operand becomes `0.0 + x`), then the
+//!    window sums folded in ascending order into a total that starts at
+//!    zero. Floating-point addition is not associative; fixing the
+//!    *shape* — not just the set of addends — is what makes the sums
+//!    bit-identical for every pool size. Rows never mix, so splitting
+//!    them by range moves no sum.
+//! 4. **Single application, in place.** The same task applies Adagrad
+//!    once to each of its rows through a disjoint row-range view of the
+//!    optimizer ([`Adagrad::ranges`]). A row that only one shard touched
+//!    — most rows, at a million entities — takes a direct path: its sum
+//!    is `0.0 + x`, whatever the shard's place in its window.
 //!
 //! ## Bounded memory under `LossMode::Full`
 //!
@@ -39,26 +50,26 @@
 //!   flush.
 //! - `FULL_LIVE_SHARDS` caps how many dense shard accumulators are
 //!   live at once: the batch runs as a sequence of *super-steps* over a
-//!   fixed-size window of shard buffers. Each super-step tree-reduces
-//!   its window, then folds it into a running batch accumulator in
-//!   ascending step order. Window size and step order are constants of
+//!   fixed-size window of shard buffers. Each super-step's reduce
+//!   dispatch tree-reduces its window and folds it into a running batch
+//!   total, which each range task keeps for its own rows; the last
+//!   super-step applies it. Window size and step order are constants of
 //!   the batch length — never the pool size — so the overall reduction
 //!   shape, and therefore every floating-point sum, stays bit-identical
 //!   for every thread count.
 //!
-//! `LossMode::Sampled` shards are sparse (a few dozen rows each), so
-//! they keep the single-window path with every shard live.
-//! [`LossMode::NegSampling`] shards are sparse too, but they target
-//! million-entity tables where even a sparse shard carries a
-//! rows-sized slot map, so they run over their own bounded window
-//! (`NEG_LIVE_SHARDS`). Sparse shards store only the rows they touch
-//! (slot-compressed, see `GradTable`): a neg-sampling shard over a
-//! million-entity table costs kilobytes of gradient rows, not the
-//! 4·`N_e`·`d` bytes a dense accumulator would.
+//! `LossMode::Sampled` and [`LossMode::NegSampling`] shards are sparse:
+//! a shard stores only the rows it touches, found through a shard-local
+//! index sized by those rows (`RowIndex`), so a neg-sampling shard over
+//! a million-entity table costs a couple of hundred kilobytes, not the
+//! 4·`N_e`·`d` bytes of a dense accumulator nor a rows-sized map. Every
+//! sparse shard of a batch stays live, which bounds the step's gradient
+//! memory by the batch's own gradient rows. Sampled-mode batches reduce
+//! as one window; neg-sampling batches as windows of `NEG_WINDOW_SHARDS`.
 //!
 //! The result is bit-identical for every thread count (the pool only
-//! decides *which worker* runs a shard, never what the shard computes),
-//! and the restructuring itself is the throughput win: under
+//! decides *which worker* runs a shard or a row range, never what it
+//! computes), and the restructuring itself is the throughput win: under
 //! `LossMode::Full` the per-side entity sweep collapses from a
 //! `sqrt`/`div`-bound Adagrad pass over the whole table to two fused
 //! `axpy` passes, with one Adagrad pass per *batch* instead of per
@@ -73,7 +84,7 @@ use crate::embeddings::Embeddings;
 use crate::loss::LossMode;
 use crate::negative::{sample_neg_block, NegCtx};
 use eras_data::Triple;
-use eras_linalg::optim::Optimizer;
+use eras_linalg::optim::{Adagrad, AdagradRange};
 use eras_linalg::pool::ThreadPool;
 use eras_linalg::softmax::{self, log_loss_and_residual, neg_sampling_loss_and_residual};
 use eras_linalg::{vecops, Rng};
@@ -102,18 +113,97 @@ const FULL_FLUSH_SIDES: usize = 8;
 /// floating-point sum) remains a pure function of the batch length.
 const FULL_LIVE_SHARDS: usize = 8;
 
-/// Maximum shard accumulators live at once under
-/// [`LossMode::NegSampling`]. Neg-sampling shards are sparse, but the
-/// mode targets million-entity tables where every live shard still
-/// carries a rows-sized row→slot map; bounding the window keeps the
-/// batch footprint a constant multiple of the table's *row count*
-/// rather than of the shard count. Like `FULL_LIVE_SHARDS` it is a
-/// machine-independent constant, so the reduction shape stays a pure
-/// function of the batch length.
-const NEG_LIVE_SHARDS: usize = 8;
+/// Reduction window of [`LossMode::NegSampling`]: a batch's shards sum
+/// as stride-doubling trees over consecutive groups of this many
+/// shards, folded in ascending group order. It fixes the reduction
+/// *shape* only — every shard of the batch is live at once — and, as a
+/// machine-independent constant, keeps that shape a pure function of
+/// the batch length. (It was once the live-shard bound, when every
+/// shard carried a rows-sized slot map; the pinned step bits keep the
+/// shape it gave.)
+const NEG_WINDOW_SHARDS: usize = 8;
+
+/// Row ranges per table in the reduce dispatch: range `k` of a
+/// `rows`-row table covers rows `k·⌈rows / 64⌉ ..`. The split depends
+/// on the table alone and moves no sum (rows reduce independently); it
+/// only sets the dispatch's granularity.
+const REDUCE_RANGES: usize = 64;
+
+/// Rows per reduce range of a `rows`-row table, and the number of
+/// ranges.
+fn range_split(rows: usize) -> (usize, usize) {
+    let per = rows.div_ceil(REDUCE_RANGES).max(1);
+    (per, rows.div_ceil(per))
+}
+
+/// Marks an empty [`RowIndex`] cell; no table has `u32::MAX` rows.
+const EMPTY_ROW: u32 = u32::MAX;
+
+/// Shard-local row → slot map: open addressing with linear probing,
+/// kept at most half full, so its size follows the rows a shard
+/// touches — never the table's row count.
+#[derive(Default)]
+struct RowIndex {
+    /// `(row, slot)` cells; the length is zero or a power of two.
+    cells: Vec<(u32, u32)>,
+    /// `64 − log2(cells.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    len: usize,
+}
+
+impl RowIndex {
+    #[inline]
+    fn home(&self, row: u32) -> usize {
+        ((row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot of `row`, assigning it `fresh` if it has none; the flag
+    /// says whether `fresh` was taken.
+    #[inline]
+    fn slot_or_insert(&mut self, row: u32, fresh: u32) -> (u32, bool) {
+        if 2 * (self.len + 1) > self.cells.len() {
+            self.grow();
+        }
+        let mask = self.cells.len() - 1;
+        let mut i = self.home(row);
+        loop {
+            let (r, slot) = self.cells[i];
+            if r == row {
+                return (slot, false);
+            }
+            if r == EMPTY_ROW {
+                self.cells[i] = (row, fresh);
+                self.len += 1;
+                return (fresh, true);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Double the table (at least 64 cells) and re-insert every entry.
+    /// Shards touch about the same rows batch after batch, so this stops
+    /// after the first batches.
+    fn grow(&mut self) {
+        let cap = (2 * self.cells.len()).max(64);
+        let old = std::mem::replace(&mut self.cells, vec![(EMPTY_ROW, 0); cap]);
+        self.shift = 64 - cap.trailing_zeros();
+        for (row, slot) in old.into_iter().filter(|c| c.0 != EMPTY_ROW) {
+            let mut i = self.home(row);
+            while self.cells[i].0 != EMPTY_ROW {
+                i = (i + 1) & (cap - 1);
+            }
+            self.cells[i] = (row, slot);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.cells.fill((EMPTY_ROW, 0));
+        self.len = 0;
+    }
+}
 
 /// A gradient table with slot-compressed sparse storage: `grad` holds
-/// one `dim`-row per *touched* row (first-touch order) and `slot_of`
+/// one `dim`-row per *touched* row (first-touch order) and `index`
 /// maps a table row to its slot, so a sampled- or neg-sampling-mode
 /// shard over a million-entity table costs memory proportional to the
 /// rows it actually touches, never to the table. [`LossMode::Full`]
@@ -130,52 +220,71 @@ struct GradTable {
     grad: Vec<f32>,
     /// Retained buffer for the other layout, so the sparse↔dense flip
     /// allocates once per table lifetime, not once per batch. All-zero
-    /// whenever the table is sparse (restored by [`GradTable::clear`]).
+    /// whenever the table is sparse (restored by [`GradTable::reset`]).
     spare: Vec<f32>,
-    /// Row → slot index into `grad`; `u32::MAX` marks untouched.
-    slot_of: Vec<u32>,
+    index: RowIndex,
+    /// Touched rows in slot order (sparse layout).
     touched: Vec<u32>,
     dense: bool,
+    /// `row << 32 | slot` for every touched row, grouped by reduce
+    /// range: range `k`'s are `by_range[range_at[k]..range_at[k + 1]]`
+    /// (sparse layout; see [`GradTable::bucket`]).
+    by_range: Vec<u64>,
+    range_at: Vec<u32>,
+    cursor: Vec<u32>,
 }
 
 impl GradTable {
-    fn ensure(&mut self, rows: usize, dim: usize) {
-        if self.rows == rows && self.dim == dim {
+    /// Empty the table for a new batch over a `rows × dim` table. A
+    /// dense table re-zeroes its buffer and parks it in `spare`, so the
+    /// next flip reuses it without reallocating.
+    fn reset(&mut self, rows: usize, dim: usize) {
+        if self.rows != rows || self.dim != dim {
+            *self = GradTable {
+                rows,
+                dim,
+                ..GradTable::default()
+            };
             return;
         }
-        self.rows = rows;
-        self.dim = dim;
-        self.grad = Vec::new();
-        self.spare = Vec::new();
-        self.slot_of = vec![u32::MAX; rows];
-        self.touched = Vec::new();
-        self.dense = false;
+        if self.dense {
+            vecops::zero(&mut self.grad);
+            std::mem::swap(&mut self.grad, &mut self.spare);
+            self.dense = false;
+        }
+        self.grad.clear();
+        self.touched.clear();
+        self.index.clear();
     }
 
-    /// Assign `row` a slot (appending a zeroed gradient row) unless it
-    /// already has one. In the dense layout every row is live already.
+    /// The gradient row of table row `row`; a row's first touch gives
+    /// it a slot holding zeros. In the dense layout every row is live.
     #[inline]
-    fn mark(&mut self, row: u32) {
-        if self.dense {
-            return;
-        }
-        if self.slot_of[row as usize] == u32::MAX {
-            self.slot_of[row as usize] = self.touched.len() as u32;
-            self.touched.push(row);
-            self.grad.resize(self.grad.len() + self.dim, 0.0);
-        }
+    fn row_mut(&mut self, row: u32) -> &mut [f32] {
+        let dim = self.dim;
+        let at = if self.dense {
+            row as usize
+        } else {
+            let (slot, fresh) = self.index.slot_or_insert(row, self.touched.len() as u32);
+            if fresh {
+                self.touched.push(row);
+                self.grad.resize(self.grad.len() + dim, 0.0);
+            }
+            slot as usize
+        };
+        &mut self.grad[at * dim..(at + 1) * dim]
     }
 
     /// Flip to the dense layout: scatter the sparse slots to their
     /// `r·dim` offsets in the (all-zero) spare buffer and swap. The
     /// flip moves values without touching any sum. Idempotent within a
-    /// batch (the flag is reset by [`GradTable::clear`]).
-    fn mark_dense(&mut self, rows: usize) {
+    /// batch (the flag is reset by [`GradTable::reset`]).
+    fn mark_dense(&mut self) {
         if self.dense {
             return;
         }
         let dim = self.dim;
-        self.spare.resize(rows * dim, 0.0);
+        self.spare.resize(self.rows * dim, 0.0);
         for (slot, &r) in self.touched.iter().enumerate() {
             self.spare[r as usize * dim..(r as usize + 1) * dim]
                 .copy_from_slice(&self.grad[slot * dim..(slot + 1) * dim]);
@@ -183,71 +292,42 @@ impl GradTable {
         std::mem::swap(&mut self.grad, &mut self.spare);
         self.dense = true;
         self.touched.clear();
-        self.touched.extend(0..rows as u32);
     }
 
-    // audit:allow(E701): `at` is a dense row index or a slot assigned
-    // by `mark`, both < the length the layout fixes
-    #[inline]
-    fn row(&self, row: usize, dim: usize) -> &[f32] {
-        let at = if self.dense {
-            row
-        } else {
-            self.slot_of[row] as usize
-        };
-        &self.grad[at * dim..(at + 1) * dim]
-    }
-
-    #[inline]
-    fn row_mut(&mut self, row: usize, dim: usize) -> &mut [f32] {
-        let at = if self.dense {
-            row
-        } else {
-            self.slot_of[row] as usize
-        };
-        &mut self.grad[at * dim..(at + 1) * dim]
-    }
-
-    /// `self[r] += src[r]` for every row `src` touched. Row values are
-    /// independent, so the merge order of rows cannot affect the sums.
-    /// A dense source merges as one whole-table add — the same
-    /// element-wise sums as the row loop, minus the per-row marking.
-    fn merge_from(&mut self, src: &GradTable, dim: usize) {
-        if src.dense {
-            self.mark_dense(src.rows);
-            for (d, &v) in self.grad.iter_mut().zip(&src.grad) {
-                *d += v;
-            }
-            return;
-        }
-        for (slot, &r) in src.touched.iter().enumerate() {
-            self.mark(r);
-            let s = &src.grad[slot * dim..(slot + 1) * dim];
-            for (d, &v) in self.row_mut(r as usize, dim).iter_mut().zip(s) {
-                *d += v;
-            }
-        }
-    }
-
-    /// Restore the empty-table invariant the next batch relies on: the
-    /// sparse layout just truncates (new marks push freshly zeroed
-    /// rows), the dense layout re-zeroes the big buffer and parks it in
-    /// `spare` so the next flip reuses it without reallocating.
-    fn clear(&mut self) {
+    /// Group the touched rows by reduce range (a counting sort on the
+    /// range), so that each range task reads only its own rows. Dense
+    /// tables are read row by row instead and skip this.
+    fn bucket(&mut self) {
         if self.dense {
-            vecops::zero(&mut self.grad);
-            std::mem::swap(&mut self.grad, &mut self.spare);
-            self.grad.clear();
-            self.slot_of.fill(u32::MAX);
-            self.touched.clear();
-            self.dense = false;
             return;
         }
+        let (per, ranges) = range_split(self.rows);
+        self.range_at.clear();
+        self.range_at.resize(ranges + 1, 0);
         for &r in &self.touched {
-            self.slot_of[r as usize] = u32::MAX;
+            self.range_at[r as usize / per + 1] += 1;
         }
-        self.touched.clear();
-        self.grad.clear();
+        for k in 0..ranges {
+            self.range_at[k + 1] += self.range_at[k];
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.range_at[..ranges]);
+        self.by_range.resize(self.touched.len(), 0);
+        for (slot, &r) in self.touched.iter().enumerate() {
+            let at = &mut self.cursor[r as usize / per];
+            self.by_range[*at as usize] = (r as u64) << 32 | slot as u64;
+            *at += 1;
+        }
+    }
+
+    /// The `row << 32 | slot` entries of reduce range `k`.
+    fn range_entries(&self, k: usize) -> &[u64] {
+        &self.by_range[self.range_at[k] as usize..self.range_at[k + 1] as usize]
+    }
+
+    /// The stored row at slot `at` — in the dense layout, table row `at`.
+    fn row_at(&self, at: usize) -> &[f32] {
+        &self.grad[at * self.dim..(at + 1) * self.dim]
     }
 }
 
@@ -289,8 +369,10 @@ impl Shard {
         n3_lambda: f32,
         rng: &mut Rng,
     ) {
-        self.entity.ensure(emb.num_entities(), emb.dim());
-        self.relation.ensure(emb.num_relations(), emb.dim());
+        // The previous batch's reduce is over: empty the shard here, on
+        // the task that fills it.
+        self.entity.reset(emb.num_entities(), emb.dim());
+        self.relation.reset(emb.num_relations(), emb.dim());
         self.q.resize(emb.dim(), 0.0);
         self.g_q.resize(emb.dim(), 0.0);
         self.g_q_b.resize(emb.dim(), 0.0);
@@ -319,6 +401,8 @@ impl Shard {
         if matches!(mode, LossMode::Full) {
             self.flush_full(emb.num_entities(), emb.dim());
         }
+        self.entity.bucket();
+        self.relation.bucket();
     }
 
     /// One 1-vs-all direction: residuals into candidate entity rows,
@@ -430,9 +514,8 @@ impl Shard {
                 for slot in 0..self.candidates.len() {
                     let c = self.candidates[slot] as usize;
                     let resid = self.scores[slot];
-                    self.entity.mark(c as u32);
                     vecops::axpy(resid, emb.entity.row(c), &mut self.g_q);
-                    vecops::axpy(resid, &self.q, self.entity.row_mut(c, dim));
+                    vecops::axpy(resid, &self.q, self.entity.row_mut(c as u32));
                 }
                 loss
             }
@@ -470,23 +553,20 @@ impl Shard {
                 for slot in 0..self.candidates.len() {
                     let c = self.candidates[slot] as usize;
                     let resid = self.scores[slot];
-                    self.entity.mark(c as u32);
                     vecops::axpy(resid, emb.entity.row(c), &mut self.g_q);
-                    vecops::axpy(resid, &self.q, self.entity.row_mut(c, dim));
+                    vecops::axpy(resid, &self.q, self.entity.row_mut(c as u32));
                 }
                 loss
             }
         };
 
-        self.entity.mark(anchor);
-        self.relation.mark(rel);
         model.backprop_query(
             sf,
             x,
             r_row,
             &self.g_q,
-            self.entity.row_mut(anchor as usize, dim),
-            self.relation.row_mut(rel as usize, dim),
+            self.entity.row_mut(anchor),
+            self.relation.row_mut(rel),
         );
         loss
     }
@@ -494,16 +574,13 @@ impl Shard {
     /// N3 gradient `3λ·sign(x)·x²` for the factor rows of `t`,
     /// evaluated on the batch-start snapshot.
     fn accumulate_n3(&mut self, emb: &Embeddings, t: Triple, lambda: f32) {
-        let dim = emb.dim();
         for &e in &[t.head, t.tail] {
-            self.entity.mark(e);
-            let dst = self.entity.row_mut(e as usize, dim);
+            let dst = self.entity.row_mut(e);
             for (g, &x) in dst.iter_mut().zip(emb.entity.row(e as usize)) {
                 *g += 3.0 * lambda * x * x * x.signum();
             }
         }
-        self.relation.mark(t.rel);
-        let dst = self.relation.row_mut(t.rel as usize, dim);
+        let dst = self.relation.row_mut(t.rel);
         for (g, &x) in dst.iter_mut().zip(emb.relation.row(t.rel as usize)) {
             *g += 3.0 * lambda * x * x * x.signum();
         }
@@ -518,7 +595,7 @@ impl Shard {
         if self.n_sides == 0 {
             return;
         }
-        self.entity.mark_dense(num_entities);
+        self.entity.mark_dense();
         let q_rows = &self.q_rows[..self.n_sides * dim];
         for (c, g_row) in self
             .entity
@@ -533,20 +610,39 @@ impl Shard {
         }
         self.n_sides = 0;
     }
+}
 
-    fn merge_from(&mut self, src: &Shard, dim: usize) {
-        self.loss += src.loss;
-        self.sides += src.sides;
-        self.entity.merge_from(&src.entity, dim);
-        self.relation.merge_from(&src.relation, dim);
-    }
+/// One shard's gradient table for `table`.
+#[derive(Clone, Copy)]
+enum Table {
+    Entity,
+    Relation,
+}
 
-    fn clear(&mut self) {
-        self.loss = 0.0;
-        self.sides = 0;
-        self.entity.clear();
-        self.relation.clear();
+impl Shard {
+    fn table(&self, table: Table) -> &GradTable {
+        match table {
+            Table::Entity => &self.entity,
+            Table::Relation => &self.relation,
+        }
     }
+}
+
+/// One reduce task's buffers, reused from batch to batch.
+#[derive(Default)]
+struct ReduceScratch {
+    /// The range's gathered contributions, `(row << 32 | shard, slot)`.
+    entries: Vec<(u64, u32)>,
+    /// The tree operands of one row's window: one `dim`-row per
+    /// contributing shard, and its leaf (shard index in the window).
+    operands: Vec<f32>,
+    leaves: Vec<usize>,
+    /// The reduced gradient of the row being applied.
+    sum: Vec<f32>,
+    /// Under [`LossMode::Full`] with several super-steps: the running
+    /// batch total of this range's rows, and which rows it holds.
+    carry: Vec<f32>,
+    carried: Vec<bool>,
 }
 
 /// Reusable per-shard accumulators for [`train_minibatch_parallel`] —
@@ -554,11 +650,11 @@ impl Shard {
 /// [`crate::block::BlockScratch`]).
 #[derive(Default)]
 pub struct GradShards {
-    /// Live shard buffers — the window one super-step accumulates into.
+    /// Shard buffers: every shard of a sparse-mode batch, or the window
+    /// one [`LossMode::Full`] super-step accumulates into.
     shards: Vec<UnsafeCell<Shard>>,
-    /// Running batch total: each super-step's reduced window folds into
-    /// here (ascending step order), and the optimizer reads from here.
-    root: Shard,
+    /// One scratch per reduce task: entity ranges, then relation ranges.
+    reduce: Vec<UnsafeCell<ReduceScratch>>,
 }
 
 impl GradShards {
@@ -566,35 +662,245 @@ impl GradShards {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    fn ensure(&mut self, n: usize) {
-        while self.shards.len() < n {
-            self.shards.push(UnsafeCell::new(Shard::default()));
+fn grow<T: Default>(cells: &mut Vec<UnsafeCell<T>>, n: usize) {
+    while cells.len() < n {
+        cells.push(UnsafeCell::new(T::default()));
+    }
+}
+
+/// Per-task cells shared with the pool: task `k` of a dispatch reaches
+/// cell `k` only.
+struct TaskCells<'a, T>(&'a [UnsafeCell<T>]);
+// SAFETY: cells are reached only through `get_mut`, whose caller is the
+// cell's sole accessor, or `get`, whose caller guarantees no writer;
+// `T: Send + Sync` lets a `&mut T` move to and a `&T` be shared with
+// the executing thread.
+// audit:allow(W406): per-index exclusive access under the pool barrier
+unsafe impl<T: Send + Sync> Sync for TaskCells<'_, T> {}
+
+impl<T> TaskCells<'_, T> {
+    /// SAFETY: the caller must be the sole accessor of cell `k` for the
+    /// lifetime of the returned borrow. Accessed through a method so
+    /// closures capture the `Sync` wrapper, not its non-Sync field
+    /// (edition 2021 closures capture fields precisely).
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn get_mut(&self, k: usize) -> &mut T {
+        // SAFETY: exclusivity is the caller's contract (doc above).
+        unsafe { &mut *self.0[k].get() }
+    }
+
+    /// SAFETY: no `get_mut` borrow of cell `k` may be live while the
+    /// returned borrow is.
+    unsafe fn get(&self, k: usize) -> &T {
+        // SAFETY: the absence of writers is the caller's contract.
+        unsafe { &*self.0[k].get() }
+    }
+}
+
+/// The reduction shape of one super-step: its shards are
+/// `step_base .. step_base + count` of the batch, summed in windows of
+/// `window` shards.
+struct Pass {
+    step_base: usize,
+    count: usize,
+    window: usize,
+    /// The batch's first and last super-step (both for a single one).
+    first: bool,
+    last: bool,
+    dim: usize,
+}
+
+/// Sum one window's contributions to a row the way the stride-doubling
+/// merge `s[i] += s[i + stride]` (stride 1, 2, 4, …) over the window's
+/// shards does. `operands` holds one `dim`-row per contributing shard,
+/// `leaves` their window positions, ascending. Each level pairs
+/// siblings: both present add left + right, a left child alone passes
+/// up unchanged, and a right child alone lands in a fresh zero row
+/// (`0.0 + x`). The sum ends in `operands[..dim]`.
+fn window_tree(operands: &mut [f32], leaves: &mut [usize], dim: usize) {
+    let mut n = leaves.len();
+    while n > 1 || leaves[0] != 0 {
+        let (mut j, mut a) = (0, 0);
+        while a < n {
+            let parent = leaves[a] >> 1;
+            let pair = a + 1 < n && leaves[a + 1] >> 1 == parent;
+            if j != a {
+                operands.copy_within(a * dim..(a + 1) * dim, j * dim);
+            }
+            let (head, tail) = operands.split_at_mut((j + 1) * dim);
+            let dst = &mut head[j * dim..];
+            if pair {
+                let src = &tail[(a - j) * dim..(a - j + 1) * dim];
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d += v;
+                }
+                a += 2;
+            } else {
+                if leaves[a] & 1 == 1 {
+                    // `0.0 + x`: turns `-0.0` into `+0.0`, like the zero
+                    // row a lone right operand used to be added to.
+                    for d in dst.iter_mut() {
+                        *d += 0.0;
+                    }
+                }
+                a += 1;
+            }
+            leaves[j] = parent;
+            j += 1;
+        }
+        n = j;
+    }
+}
+
+/// Fold one row's contributions — `(shard, row)` pairs of this
+/// super-step in ascending shard order — into `total`: each window's
+/// tree sum in ascending window order, the first landing in a zero
+/// total (`0.0 + t`) unless `present` says `total` already holds some.
+/// Returns whether `total` holds a sum.
+fn reduce_row<'s>(
+    contribs: impl Iterator<Item = (usize, &'s [f32])>,
+    pass: &Pass,
+    operands: &mut Vec<f32>,
+    leaves: &mut Vec<usize>,
+    total: &mut [f32],
+    mut present: bool,
+) -> bool {
+    let mut fold = |operands: &mut Vec<f32>, leaves: &mut Vec<usize>, present: bool| {
+        window_tree(operands, leaves, pass.dim);
+        let t = &operands[..pass.dim];
+        if present {
+            for (a, &v) in total.iter_mut().zip(t) {
+                *a += v;
+            }
+        } else {
+            for (a, &v) in total.iter_mut().zip(t) {
+                *a = 0.0 + v;
+            }
+        }
+        operands.clear();
+        leaves.clear();
+    };
+    let mut window = None;
+    for (k, x) in contribs {
+        let s = pass.step_base + k;
+        if window.is_some_and(|w| w != s / pass.window) {
+            fold(operands, leaves, present);
+            present = true;
+        }
+        window = Some(s / pass.window);
+        operands.extend_from_slice(x);
+        leaves.push(s % pass.window);
+    }
+    if window.is_some() {
+        fold(operands, leaves, present);
+        present = true;
+    }
+    present
+}
+
+/// Reduce rows `lo..hi` — reduce range `range` of `table` — over the
+/// super-step's shards, then apply them through `opt` (a single
+/// super-step) or fold them into the range's running total (several;
+/// the last one applies the total).
+#[allow(clippy::too_many_arguments)]
+fn reduce_range(
+    shards: &TaskCells<'_, Shard>,
+    table: Table,
+    range: usize,
+    lo: usize,
+    hi: usize,
+    pass: &Pass,
+    scratch: &mut ReduceScratch,
+    opt: &mut AdagradRange<'_>,
+) {
+    // SAFETY: the gradient dispatch is over; until the next batch the
+    // shards are only read.
+    let shard = |k: usize| unsafe { shards.get(k) }.table(table);
+    let dim = pass.dim;
+    let ReduceScratch {
+        entries,
+        operands,
+        leaves,
+        sum,
+        carry,
+        carried,
+    } = scratch;
+    let direct = pass.first && pass.last;
+    sum.resize(dim, 0.0);
+    if !direct && pass.first {
+        carry.clear();
+        carry.resize((hi - lo) * dim, 0.0);
+        carried.clear();
+        carried.resize(hi - lo, false);
+    }
+    // Reduce `row` from its `len` contributions, then apply it now or
+    // fold it into the carried total.
+    let mut finish =
+        |row: usize, len: usize, contribs: &mut dyn Iterator<Item = (usize, &[f32])>| {
+            let i = row - lo;
+            let (total, present) = if direct {
+                (&mut sum[..], false)
+            } else {
+                (&mut carry[i * dim..(i + 1) * dim], carried[i])
+            };
+            let held = if len == 1 && !present {
+                // Direct path: whatever the shard's place in its window,
+                // the tree and the fold make a lone contribution `0.0 + x`
+                // (adding `0.0` twice equals adding it once).
+                for (_, x) in contribs {
+                    for (t, &v) in total.iter_mut().zip(x) {
+                        *t = 0.0 + v;
+                    }
+                }
+                true
+            } else {
+                reduce_row(contribs, pass, operands, leaves, total, present)
+            };
+            if !direct {
+                carried[i] = held;
+            } else if held {
+                opt.step_at(row * dim, total);
+            }
+        };
+
+    if shard(0).dense {
+        // A Full-mode entity table: every shard holds every row.
+        for row in lo..hi {
+            let mut contribs = (0..pass.count).map(|k| (k, shard(k).row_at(row)));
+            finish(row, pass.count, &mut contribs);
+        }
+    } else {
+        entries.clear();
+        for k in 0..pass.count {
+            for &e in shard(k).range_entries(range) {
+                entries.push((e >> 32 << 32 | k as u64, e as u32));
+            }
+        }
+        entries.sort_unstable_by_key(|e| e.0);
+        let mut run = entries.as_slice();
+        while let Some(&(key, _)) = run.first() {
+            let len = run.iter().take_while(|e| e.0 >> 32 == key >> 32).count();
+            let mut contribs = run[..len].iter().map(|&(key, slot)| {
+                let k = key as u32 as usize;
+                (k, shard(k).row_at(slot as usize))
+            });
+            finish((key >> 32) as usize, len, &mut contribs);
+            run = &run[len..];
+        }
+    }
+
+    if pass.last && !direct {
+        for (i, _) in carried.iter().enumerate().filter(|&(_, &held)| held) {
+            opt.step_at((lo + i) * dim, &carry[i * dim..(i + 1) * dim]);
         }
     }
 }
 
-/// Shared view of the shard cells for the parallel region.
-struct ShardCells<'a>(&'a [UnsafeCell<Shard>]);
-// SAFETY: pool task index `s` is claimed by exactly one executor and
-// touches exactly `cells.0[s]`; no two tasks alias a shard.
-// audit:allow(W406): per-index exclusive access under the pool barrier
-unsafe impl Sync for ShardCells<'_> {}
-
-impl ShardCells<'_> {
-    /// SAFETY: the caller must be the sole accessor of shard `s` for
-    /// the lifetime of the returned borrow. Accessed through a method
-    /// so closures capture the `Sync` wrapper, not its non-Sync field
-    /// (edition 2021 closures capture fields precisely).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn shard(&self, s: usize) -> &mut Shard {
-        // SAFETY: exclusivity is the caller's contract (doc above).
-        unsafe { &mut *self.0[s].get() }
-    }
-}
-
 /// One data-parallel pass over a minibatch: shard gradients on the
-/// pool, tree-reduce, apply once. Returns the mean per-side loss.
+/// pool, then a second dispatch that reduces and applies them by row
+/// range. Returns the mean per-side loss.
 ///
 /// Bit-identical for every pool size — see the module docs for the
 /// argument. N3 regularisation (`n3_lambda > 0`) is folded into the
@@ -605,8 +911,8 @@ impl ShardCells<'_> {
 pub fn train_minibatch_parallel(
     model: &BlockModel,
     emb: &mut Embeddings,
-    opt_entity: &mut dyn Optimizer,
-    opt_relation: &mut dyn Optimizer,
+    opt_entity: &mut Adagrad,
+    opt_relation: &mut Adagrad,
     batch: &[Triple],
     mode: LossMode,
     neg: Option<&NegCtx>,
@@ -623,35 +929,47 @@ pub fn train_minibatch_parallel(
     let _step = eras_obs::span!("train.step", triples = batch.len(), shards = num_shards);
     // Full-softmax shards are dense, so only a bounded window of them
     // is live at once and the batch runs as super-steps over that
-    // window; sampled shards are sparse and all stay live. The window
-    // size is a machine-independent constant, keeping the reduction
-    // shape a pure function of the batch length.
-    let window = match mode {
-        LossMode::Full => num_shards.min(FULL_LIVE_SHARDS),
-        LossMode::Sampled { .. } => num_shards,
-        LossMode::NegSampling { .. } => num_shards.min(NEG_LIVE_SHARDS),
+    // window; sparse shards all stay live. `window` fixes the reduction
+    // shape. Both are machine-independent constants, keeping the shape
+    // a pure function of the batch length.
+    let (live, window) = match mode {
+        LossMode::Full => (FULL_LIVE_SHARDS, FULL_LIVE_SHARDS),
+        LossMode::Sampled { .. } => (num_shards, num_shards),
+        LossMode::NegSampling { .. } => (num_shards, NEG_WINDOW_SHARDS),
     };
-    state.ensure(window);
+    let live = live.min(num_shards);
+    let (num_entities, num_relations) = (emb.num_entities(), emb.num_relations());
+    let (ent_per, ent_ranges) = range_split(num_entities);
+    let (rel_per, rel_ranges) = range_split(num_relations);
+    let GradShards { shards, reduce } = state;
+    grow(shards, live);
+    grow(reduce, ent_ranges + rel_ranges);
     // One parent draw per batch; shard RNGs derive from (base, s) the
     // same way `Rng::fork` mixes streams, so the negative samples a
     // shard draws are a function of the shard index alone.
     let base = rng.next_u64();
 
-    let GradShards { shards, root } = state;
-    root.entity.ensure(emb.num_entities(), dim);
-    root.relation.ensure(emb.num_relations(), dim);
-
+    let mut loss = 0.0f32;
+    let mut sides = 0u32;
     let mut step_base = 0;
     while step_base < num_shards {
-        let count = window.min(num_shards - step_base);
+        let count = live.min(num_shards - step_base);
+        let pass = Pass {
+            step_base,
+            count,
+            window,
+            first: step_base == 0,
+            last: step_base + count == num_shards,
+            dim,
+        };
         {
             let _grad = eras_obs::span!("train.step.grad");
             let emb_ref: &Embeddings = emb;
-            let cells = ShardCells(&shards[..count]);
+            let cells = TaskCells(&shards[..count]);
             let cells_ref = &cells;
             pool.run(count, |k| {
                 // SAFETY: task `k` is the sole accessor of buffer `k`.
-                let shard = unsafe { cells_ref.shard(k) };
+                let shard = unsafe { cells_ref.get_mut(k) };
                 let s = step_base + k;
                 let lo = s * SHARD_TRIPLES;
                 let hi = (lo + SHARD_TRIPLES).min(batch.len());
@@ -669,63 +987,54 @@ pub fn train_minibatch_parallel(
             });
         }
 
-        // Fixed tree reduction within the super-step: stride doubling
-        // on the buffer index (= shard index offset by `step_base`).
-        // The tree shape depends only on the step's shard count, so the
-        // floating-point sums are bit-identical regardless of how the
-        // pool scheduled the shards above.
-        let _reduce = eras_obs::span!("train.step.reduce");
-        let mut stride = 1;
-        while stride < count {
-            let mut i = 0;
-            while i + stride < count {
-                // SAFETY: `i != i + stride`; both cells are exclusively
-                // ours (the parallel region is over).
-                let (dst, src) = unsafe { (&mut *shards[i].get(), &*shards[i + stride].get()) };
-                dst.merge_from(src, dim);
-                i += 2 * stride;
+        // Shard losses take the gradients' shape: a tree per window,
+        // windows added in ascending order.
+        for win in shards[..count].chunks_mut(window) {
+            let mut stride = 1;
+            while stride < win.len() {
+                let mut i = 0;
+                while i + stride < win.len() {
+                    let add = win[i + stride].get_mut().loss;
+                    win[i].get_mut().loss += add;
+                    i += 2 * stride;
+                }
+                stride *= 2;
             }
-            stride *= 2;
+            loss += win[0].get_mut().loss;
+            sides += win.iter_mut().map(|c| c.get_mut().sides).sum::<u32>();
         }
 
-        // Fold the reduced super-step into the running batch total —
-        // ascending step order, another fixed shape — and re-zero the
-        // window for the next step.
-        // SAFETY: the parallel region is over; this thread owns cell 0.
-        root.merge_from(unsafe { &*shards[0].get() }, dim);
-        for cell in &mut shards[..count] {
-            cell.get_mut().clear();
-        }
+        let _reduce = eras_obs::span!("train.step.reduce");
+        let cells = TaskCells(&shards[..count]);
+        let scratch = TaskCells(&reduce[..ent_ranges + rel_ranges]);
+        let ent_opt = opt_entity.ranges(emb.entity.as_mut_slice(), ent_per * dim);
+        let rel_opt = opt_relation.ranges(emb.relation.as_mut_slice(), rel_per * dim);
+        let (cells, scratch, ent_opt, rel_opt, pass) =
+            (&cells, &scratch, &ent_opt, &rel_opt, &pass);
+        pool.run(ent_ranges + rel_ranges, |k| {
+            // SAFETY: task `k` is the sole accessor of scratch `k` and of
+            // its table's range view; the shards are only read.
+            let scratch = unsafe { scratch.get_mut(k) };
+            if k < ent_ranges {
+                let lo = k * ent_per;
+                let hi = (lo + ent_per).min(num_entities);
+                // SAFETY: as above — range `k` has no other view.
+                let mut opt = unsafe { ent_opt.range(k) };
+                reduce_range(cells, Table::Entity, k, lo, hi, pass, scratch, &mut opt);
+            } else {
+                let r = k - ent_ranges;
+                let lo = r * rel_per;
+                let hi = (lo + rel_per).min(num_relations);
+                // SAFETY: as above — range `r` has no other view.
+                let mut opt = unsafe { rel_opt.range(r) };
+                reduce_range(cells, Table::Relation, r, lo, hi, pass, scratch, &mut opt);
+            }
+        });
         step_base += count;
-    }
-
-    // Apply the merged gradient once per touched row, ascending — a
-    // fixed order, and one optimizer pass per batch instead of one per
-    // example side.
-    let _apply = eras_obs::span!("train.step.reduce");
-    root.entity.touched.sort_unstable();
-    root.relation.touched.sort_unstable();
-    for &r in &root.entity.touched {
-        opt_entity.step_at(
-            emb.entity.as_mut_slice(),
-            r as usize * dim,
-            root.entity.row(r as usize, dim),
-        );
-    }
-    for &r in &root.relation.touched {
-        opt_relation.step_at(
-            emb.relation.as_mut_slice(),
-            r as usize * dim,
-            root.relation.row(r as usize, dim),
-        );
     }
     // Divide by the sides actually trained: 2·len for every mode but
     // Bernoulli corruption, which draws one side per triple.
-    let mean = root.loss / root.sides.max(1) as f32;
-
-    // Restore the all-zero invariant for the next batch.
-    root.clear();
-    mean
+    loss / sides.max(1) as f32
 }
 
 #[cfg(test)]
