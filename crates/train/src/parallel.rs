@@ -89,6 +89,7 @@ use eras_linalg::pool::ThreadPool;
 use eras_linalg::softmax::{self, log_loss_and_residual, neg_sampling_loss_and_residual};
 use eras_linalg::{vecops, Rng};
 use std::cell::UnsafeCell;
+use std::ops::Range;
 
 /// Triples per gradient shard. Shard count is `ceil(batch / 32)` — a
 /// function of the batch length only, which is what keeps results
@@ -128,6 +129,12 @@ const NEG_WINDOW_SHARDS: usize = 8;
 /// on the table alone and moves no sum (rows reduce independently); it
 /// only sets the dispatch's granularity.
 const REDUCE_RANGES: usize = 64;
+
+/// Rows a reduce task sums at once in a dense ([`LossMode::Full`])
+/// table: each shard's block is one contiguous slice, so the block
+/// reduces as one wide row (rows never mix; every sum is per element)
+/// while the task's tree operands stay a few tens of kilobytes.
+const DENSE_BLOCK_ROWS: usize = 16;
 
 /// Rows per reduce range of a `rows`-row table, and the number of
 /// ranges.
@@ -325,9 +332,10 @@ impl GradTable {
         &self.by_range[self.range_at[k] as usize..self.range_at[k + 1] as usize]
     }
 
-    /// The stored row at slot `at` — in the dense layout, table row `at`.
-    fn row_at(&self, at: usize) -> &[f32] {
-        &self.grad[at * self.dim..(at + 1) * self.dim]
+    /// The stored rows at slots `at` — in the dense layout, table rows
+    /// `at`.
+    fn rows_at(&self, at: Range<usize>) -> &[f32] {
+        &self.grad[at.start * self.dim..at.end * self.dim]
     }
 }
 
@@ -681,18 +689,30 @@ struct TaskCells<'a, T>(&'a [UnsafeCell<T>]);
 unsafe impl<T: Send + Sync> Sync for TaskCells<'_, T> {}
 
 impl<T> TaskCells<'_, T> {
-    /// SAFETY: the caller must be the sole accessor of cell `k` for the
-    /// lifetime of the returned borrow. Accessed through a method so
-    /// closures capture the `Sync` wrapper, not its non-Sync field
-    /// (edition 2021 closures capture fields precisely).
+    /// Cell `k`, mutably. Accessed through a method so closures capture
+    /// the `Sync` wrapper, not its non-Sync field (edition 2021 closures
+    /// capture fields precisely).
+    ///
+    /// # Safety
+    ///
+    /// The caller must be the sole accessor of cell `k` for the
+    /// lifetime of the returned borrow.
+    // SAFETY: sound under that contract; a dispatch's task `k` runs on
+    // exactly one executor.
     #[allow(clippy::mut_from_ref)]
     unsafe fn get_mut(&self, k: usize) -> &mut T {
         // SAFETY: exclusivity is the caller's contract (doc above).
         unsafe { &mut *self.0[k].get() }
     }
 
-    /// SAFETY: no `get_mut` borrow of cell `k` may be live while the
-    /// returned borrow is.
+    /// Cell `k`, shared.
+    ///
+    /// # Safety
+    ///
+    /// No `get_mut` borrow of cell `k` may be live while the returned
+    /// borrow is.
+    // SAFETY: sound under that contract; shared reads of a cell that no
+    // one writes do not race.
     unsafe fn get(&self, k: usize) -> &T {
         // SAFETY: the absence of writers is the caller's contract.
         unsafe { &*self.0[k].get() }
@@ -714,8 +734,8 @@ struct Pass {
 
 /// Sum one window's contributions to a row the way the stride-doubling
 /// merge `s[i] += s[i + stride]` (stride 1, 2, 4, …) over the window's
-/// shards does. `operands` holds one `dim`-row per contributing shard,
-/// `leaves` their window positions, ascending. Each level pairs
+/// shards does. `operands` holds one `dim`-wide row per contributing
+/// shard, `leaves` their window positions, ascending. Each level pairs
 /// siblings: both present add left + right, a left child alone passes
 /// up unchanged, and a right child alone lands in a fresh zero row
 /// (`0.0 + x`). The sum ends in `operands[..dim]`.
@@ -755,10 +775,10 @@ fn window_tree(operands: &mut [f32], leaves: &mut [usize], dim: usize) {
 }
 
 /// Fold one row's contributions — `(shard, row)` pairs of this
-/// super-step in ascending shard order — into `total`: each window's
-/// tree sum in ascending window order, the first landing in a zero
-/// total (`0.0 + t`) unless `present` says `total` already holds some.
-/// Returns whether `total` holds a sum.
+/// super-step in ascending shard order, each as wide as `total` — into
+/// `total`: each window's tree sum in ascending window order, the first
+/// landing in a zero total (`0.0 + t`) unless `present` says `total`
+/// already holds some. Returns whether `total` holds a sum.
 fn reduce_row<'s>(
     contribs: impl Iterator<Item = (usize, &'s [f32])>,
     pass: &Pass,
@@ -767,9 +787,10 @@ fn reduce_row<'s>(
     total: &mut [f32],
     mut present: bool,
 ) -> bool {
+    let width = total.len();
     let mut fold = |operands: &mut Vec<f32>, leaves: &mut Vec<usize>, present: bool| {
-        window_tree(operands, leaves, pass.dim);
-        let t = &operands[..pass.dim];
+        window_tree(operands, leaves, width);
+        let t = &operands[..width];
         if present {
             for (a, &v) in total.iter_mut().zip(t) {
                 *a += v;
@@ -828,22 +849,23 @@ fn reduce_range(
         carried,
     } = scratch;
     let direct = pass.first && pass.last;
-    sum.resize(dim, 0.0);
     if !direct && pass.first {
         carry.clear();
         carry.resize((hi - lo) * dim, 0.0);
         carried.clear();
         carried.resize(hi - lo, false);
     }
-    // Reduce `row` from its `len` contributions, then apply it now or
-    // fold it into the carried total.
+    // Reduce `rows` — one row, or a dense block reduced as one wide
+    // row — from their `len` contributions, then apply them now or fold
+    // them into the carried total.
     let mut finish =
-        |row: usize, len: usize, contribs: &mut dyn Iterator<Item = (usize, &[f32])>| {
-            let i = row - lo;
+        |rows: Range<usize>, len: usize, contribs: &mut dyn Iterator<Item = (usize, &[f32])>| {
+            let (a, b) = ((rows.start - lo) * dim, (rows.end - lo) * dim);
             let (total, present) = if direct {
+                sum.resize(b - a, 0.0);
                 (&mut sum[..], false)
             } else {
-                (&mut carry[i * dim..(i + 1) * dim], carried[i])
+                (&mut carry[a..b], carried[rows.start - lo])
             };
             let held = if len == 1 && !present {
                 // Direct path: whatever the shard's place in its window,
@@ -859,17 +881,20 @@ fn reduce_range(
                 reduce_row(contribs, pass, operands, leaves, total, present)
             };
             if !direct {
-                carried[i] = held;
+                carried[rows.start - lo..rows.end - lo].fill(held);
             } else if held {
-                opt.step_at(row * dim, total);
+                for (row, g) in rows.zip(total.chunks_exact(dim)) {
+                    opt.step_at(row * dim, g);
+                }
             }
         };
 
     if shard(0).dense {
         // A Full-mode entity table: every shard holds every row.
-        for row in lo..hi {
-            let mut contribs = (0..pass.count).map(|k| (k, shard(k).row_at(row)));
-            finish(row, pass.count, &mut contribs);
+        for block in (lo..hi).step_by(DENSE_BLOCK_ROWS) {
+            let end = (block + DENSE_BLOCK_ROWS).min(hi);
+            let mut contribs = (0..pass.count).map(|k| (k, shard(k).rows_at(block..end)));
+            finish(block..end, pass.count, &mut contribs);
         }
     } else {
         entries.clear();
@@ -884,9 +909,10 @@ fn reduce_range(
             let len = run.iter().take_while(|e| e.0 >> 32 == key >> 32).count();
             let mut contribs = run[..len].iter().map(|&(key, slot)| {
                 let k = key as u32 as usize;
-                (k, shard(k).row_at(slot as usize))
+                (k, shard(k).rows_at(slot as usize..slot as usize + 1))
             });
-            finish((key >> 32) as usize, len, &mut contribs);
+            let row = (key >> 32) as usize;
+            finish(row..row + 1, len, &mut contribs);
             run = &run[len..];
         }
     }
