@@ -36,6 +36,12 @@
 /// re-pin the golden tests in `kernel_equivalence.rs`.
 pub const LANES: usize = 8;
 
+/// Whether the public kernels run the scalar [`mod@reference`] forms
+/// (the `scalar-kernels` feature). Reductions round differently on the
+/// two paths, so a result pinned bit for bit downstream pins one value
+/// per path.
+pub const SCALAR_KERNELS: bool = cfg!(feature = "scalar-kernels");
+
 /// The fixed lane-combine tree shared by every reduction kernel:
 /// `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))`. Deterministic for a given
 /// [`LANES`]; all laned reductions fold through this exact shape so

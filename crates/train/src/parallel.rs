@@ -187,9 +187,14 @@ impl RowIndex {
         }
     }
 
+    /// Make room for `n` entries without growing.
+    fn reserve(&mut self, n: usize) {
+        while 2 * n > self.cells.len() {
+            self.grow();
+        }
+    }
+
     /// Double the table (at least 64 cells) and re-insert every entry.
-    /// Shards touch about the same rows batch after batch, so this stops
-    /// after the first batches.
     fn grow(&mut self) {
         let cap = (2 * self.cells.len()).max(64);
         let old = std::mem::replace(&mut self.cells, vec![(EMPTY_ROW, 0); cap]);
@@ -242,26 +247,33 @@ struct GradTable {
 }
 
 impl GradTable {
-    /// Empty the table for a new batch over a `rows × dim` table. A
-    /// dense table re-zeroes its buffer and parks it in `spare`, so the
-    /// next flip reuses it without reallocating.
-    fn reset(&mut self, rows: usize, dim: usize) {
+    /// Empty the table for a new batch over a `rows × dim` table, and
+    /// make room for the at most `touches` rows the batch's shard can
+    /// touch, so that a warm table never allocates. A dense table
+    /// re-zeroes its buffer and parks it in `spare`, so the next flip
+    /// reuses it without reallocating.
+    fn reset(&mut self, rows: usize, dim: usize, touches: usize) {
         if self.rows != rows || self.dim != dim {
             *self = GradTable {
                 rows,
                 dim,
                 ..GradTable::default()
             };
-            return;
+        } else {
+            if self.dense {
+                vecops::zero(&mut self.grad);
+                std::mem::swap(&mut self.grad, &mut self.spare);
+                self.dense = false;
+            }
+            self.grad.clear();
+            self.touched.clear();
+            self.index.clear();
         }
-        if self.dense {
-            vecops::zero(&mut self.grad);
-            std::mem::swap(&mut self.grad, &mut self.spare);
-            self.dense = false;
-        }
-        self.grad.clear();
-        self.touched.clear();
-        self.index.clear();
+        let touches = touches.min(rows);
+        self.grad.reserve(touches * dim);
+        self.touched.reserve(touches);
+        self.by_range.reserve(touches);
+        self.index.reserve(touches);
     }
 
     /// The gradient row of table row `row`; a row's first touch gives
@@ -378,9 +390,19 @@ impl Shard {
         rng: &mut Rng,
     ) {
         // The previous batch's reduce is over: empty the shard here, on
-        // the task that fills it.
-        self.entity.reset(emb.num_entities(), emb.dim());
-        self.relation.reset(emb.num_relations(), emb.dim());
+        // the task that fills it. A triple touches, per side, its
+        // candidate rows (dense instead under `Full`) and its anchor,
+        // plus two N3 factor rows, and one relation row.
+        let candidates = match mode {
+            LossMode::Full => 0,
+            LossMode::Sampled { negatives } | LossMode::NegSampling { negatives, .. } => {
+                1 + negatives
+            }
+        };
+        let touches = triples.len() * (2 * (candidates + 1) + 2);
+        self.entity.reset(emb.num_entities(), emb.dim(), touches);
+        self.relation
+            .reset(emb.num_relations(), emb.dim(), triples.len());
         self.q.resize(emb.dim(), 0.0);
         self.g_q.resize(emb.dim(), 0.0);
         self.g_q_b.resize(emb.dim(), 0.0);
@@ -849,6 +871,12 @@ fn reduce_range(
         carried,
     } = scratch;
     let direct = pass.first && pass.last;
+    // The widest row (a dense block) and the most contributions one row
+    // can have bound the tree buffers, so a warm task never allocates.
+    let width = dim * if shard(0).dense { DENSE_BLOCK_ROWS } else { 1 };
+    operands.reserve(pass.count * width);
+    leaves.reserve(pass.count);
+    sum.reserve(width.saturating_sub(sum.len()));
     if !direct && pass.first {
         carry.clear();
         carry.resize((hi - lo) * dim, 0.0);
@@ -898,6 +926,13 @@ fn reduce_range(
         }
     } else {
         entries.clear();
+        let n: usize = (0..pass.count)
+            .map(|k| shard(k).range_entries(range).len())
+            .sum();
+        if entries.capacity() < n {
+            // Slack: a range's share of the next batches varies a little.
+            entries.reserve(2 * n);
+        }
         for k in 0..pass.count {
             for &e in shard(k).range_entries(range) {
                 entries.push((e >> 32 << 32 | k as u64, e as u32));
@@ -1175,16 +1210,19 @@ mod tests {
     };
 
     /// Every pool size must reproduce pool 1 bit for bit, and pool 1
-    /// must reproduce `pinned`: one FNV-1a hash per mode over its runs
-    /// with N3 on and off. The pins were taken from the stride-doubling
-    /// shard merge this module started with; a reduction rewrite that
-    /// moves any sum, for every pool size alike, fails here.
+    /// must reproduce the pins: one FNV-1a hash per mode over its runs
+    /// with N3 on and off, one set per kernel path (`laned`, or
+    /// `scalar` under the `scalar-kernels` feature). The pins were taken
+    /// from the serial stride-doubling shard merge this module used
+    /// before its reduction moved onto the pool; a reduction rewrite
+    /// that moves any sum, for every pool size alike, fails here.
     fn assert_bit_identical_across_pool_sizes(
         data: &[Triple],
         entities: usize,
         steps: usize,
         modes: &[LossMode],
-        pinned: &[u64],
+        laned: &[u64],
+        scalar: &[u64],
     ) {
         let mut got = Vec::new();
         for &mode in modes {
@@ -1223,6 +1261,11 @@ mod tests {
             }
             got.push(h);
         }
+        let pinned = if eras_linalg::vecops::SCALAR_KERNELS {
+            scalar
+        } else {
+            laned
+        };
         assert_eq!(got, pinned, "pinned step bits moved ({modes:?})");
     }
 
@@ -1238,6 +1281,12 @@ mod tests {
                 7978711869441149581,
                 15642582198556770205,
                 15236889486692239453,
+            ],
+            &[
+                13408359156766372616,
+                7751933415929036377,
+                1588856563078862782,
+                12466119588395299643,
             ],
         );
     }
@@ -1260,6 +1309,12 @@ mod tests {
                 10894619073778243375,
                 10152131419250626473,
             ],
+            &[
+                2878230957445943059,
+                887650642115106125,
+                4522471306089379934,
+                10152131419250626473,
+            ],
         );
     }
 
@@ -1277,6 +1332,11 @@ mod tests {
             &[
                 18337039122137573491,
                 10103468872417430728,
+                9333753245579857504,
+            ],
+            &[
+                17078912267032544040,
+                10101299106289858510,
                 9333753245579857504,
             ],
         );
