@@ -98,9 +98,7 @@ impl Adagrad {
             accum,
         }
     }
-}
 
-impl Adagrad {
     /// Split `params` and this optimizer's state into disjoint ranges
     /// of `span` values each (range `k` covers `k·span ..`), so that
     /// rows in different ranges can be updated from different threads
@@ -183,7 +181,6 @@ impl AdagradRanges<'_> {
     /// At most one view of a given `k` may be live at a time.
     // SAFETY: sound under that contract — views of distinct `k` cover
     // disjoint values of the borrowed buffers.
-    #[allow(clippy::mut_from_ref)]
     pub unsafe fn range(&self, k: usize) -> AdagradRange<'_> {
         let base = k.saturating_mul(self.span);
         let end = base.saturating_add(self.span);

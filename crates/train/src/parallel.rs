@@ -640,22 +640,20 @@ impl Shard {
         }
         self.n_sides = 0;
     }
-}
 
-/// One shard's gradient table for `table`.
-#[derive(Clone, Copy)]
-enum Table {
-    Entity,
-    Relation,
-}
-
-impl Shard {
     fn table(&self, table: Table) -> &GradTable {
         match table {
             Table::Entity => &self.entity,
             Table::Relation => &self.relation,
         }
     }
+}
+
+/// Which of a shard's two gradient tables a reduce task covers.
+#[derive(Clone, Copy)]
+enum Table {
+    Entity,
+    Relation,
 }
 
 /// One reduce task's buffers, reused from batch to batch.
