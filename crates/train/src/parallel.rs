@@ -315,7 +315,7 @@ impl GradTable {
 
     /// Group the touched rows by reduce range (a counting sort on the
     /// range), so that each range task reads only its own rows. Dense
-    /// tables are read row by row instead and skip this.
+    /// tables are read in blocks of rows instead and skip this.
     fn bucket(&mut self) {
         if self.dense {
             return;
