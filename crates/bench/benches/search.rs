@@ -8,7 +8,7 @@
 //! per-candidate wall-clock both ways, and the raw cost of one
 //! `certify` call (the static overhead a sound candidate pays). Backs
 //! the search-efficiency notes in `docs/performance.md`. Emits
-//! `results/BENCH_search.json`. Set `ERAS_BENCH_QUICK` for a smoke run
+//! `results/BENCH_search.json` (under `crates/bench/`). Set `ERAS_BENCH_QUICK` for a smoke run
 //! (smaller pool, fewer epochs) — the JSON is still written, with a
 //! `quick` marker.
 

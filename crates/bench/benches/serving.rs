@@ -4,7 +4,7 @@
 //! Measures the `QueryEngine` kernel itself (cache disabled, anchors
 //! rotated so no result is reused): one pass over the entity table per
 //! query, and one *shared* pass for a 64-query batch — the difference is
-//! the batching win. Emits `results/BENCH_serving.json`.
+//! the batching win. Emits `results/BENCH_serving.json` (under `crates/bench/`).
 
 use eras_bench::harness::bench;
 use eras_bench::report::save_json;

@@ -2,15 +2,16 @@
 //!
 //! Three sections:
 //!
-//! 1. The original minibatch micro-benchmark — full-softmax vs sampled
-//!    1-vs-all gradient step (the cost trade-off behind `LossMode`).
-//! 2. Thread-scaling epoch benchmark — one sequential training epoch
-//!    vs the data-parallel path at pool sizes 1/2/4/8 on the Tiny
-//!    preset at dim 64. Configurations are interleaved round-robin
-//!    within each repetition so machine noise hits all of them alike,
-//!    and the minimum over repetitions is reported (the standard
-//!    noise-robust estimator for a deterministic workload). Emits
-//!    `results/BENCH_training.json`.
+//! 1. The sampled minibatch micro-benchmark — the sequential step of
+//!    `LossMode::Sampled` at 32 and 128 negatives.
+//! 2. Thread-scaling epoch benchmark — one full-softmax training epoch
+//!    on the sharded step (the step of `LossMode::Full`) at pool sizes
+//!    1/2/4/8 on the Tiny preset at dim 64; speedups are relative to
+//!    pool size 1. Configurations are interleaved round-robin within
+//!    each repetition so machine noise hits all of them alike, and the
+//!    minimum over repetitions is reported (the standard noise-robust
+//!    estimator for a deterministic workload). Emits
+//!    `results/BENCH_training.json` (under `crates/bench/`).
 //!
 //! 3. Observability overhead — the full trainer (spans, events,
 //!    metrics all live) with a JSONL tracer draining to a sink vs no
@@ -32,7 +33,7 @@ use eras_linalg::Rng;
 use eras_sf::zoo;
 use eras_train::block::{train_minibatch, BlockScratch};
 use eras_train::parallel::{train_minibatch_parallel, GradShards};
-use eras_train::trainer::{train_standalone_on, Execution, TrainConfig};
+use eras_train::trainer::{train_standalone_on, TrainConfig};
 use eras_train::{BlockModel, Embeddings, LossMode};
 use std::hint::black_box;
 use std::time::Instant;
@@ -46,7 +47,6 @@ fn bench_train_minibatch() {
     for (name, mode) in [
         ("sampled32", LossMode::Sampled { negatives: 32 }),
         ("sampled128", LossMode::Sampled { negatives: 128 }),
-        ("full", LossMode::Full),
     ] {
         let mut rng = Rng::seed_from_u64(3);
         let mut emb = Embeddings::init(num_entities, 8, dim, &mut rng);
@@ -110,10 +110,6 @@ fn bench_epoch_scaling() -> Json {
     let ds = Preset::Tiny.build(7);
     let model = BlockModel::universal(zoo::complex(), ds.num_relations());
 
-    let mut seq = TrainState::fresh(ds.num_entities(), ds.num_relations());
-    let mut seq_scratch = BlockScratch::new();
-    let mut seq_times = Vec::with_capacity(reps);
-
     let mut dp: Vec<(ThreadPool, TrainState, GradShards, Vec<f64>)> = POOL_SIZES
         .iter()
         .map(|&t| {
@@ -130,22 +126,6 @@ fn bench_epoch_scaling() -> Json {
     // configuration back-to-back, so a slow phase of the machine taxes
     // all of them equally instead of biasing whichever config it hits.
     for _ in 0..reps {
-        let t0 = Instant::now();
-        for chunk in ds.train.chunks(BATCH_SIZE) {
-            black_box(train_minibatch(
-                &model,
-                &mut seq.emb,
-                &mut seq.opt_e,
-                &mut seq.opt_r,
-                chunk,
-                LossMode::Full,
-                None,
-                &mut seq.rng,
-                &mut seq_scratch,
-            ));
-        }
-        seq_times.push(t0.elapsed().as_secs_f64());
-
         for (pool, state, shards, times) in dp.iter_mut() {
             let t0 = Instant::now();
             for chunk in ds.train.chunks(BATCH_SIZE) {
@@ -167,13 +147,6 @@ fn bench_epoch_scaling() -> Json {
         }
     }
 
-    let (seq_min, seq_med) = min_med(&mut seq_times);
-    println!(
-        "{:<40} min {:>8.3} ms  med {:>8.3} ms",
-        "train_epoch/tiny_d64_full/sequential",
-        seq_min * 1e3,
-        seq_med * 1e3
-    );
     let mut results = Json::obj()
         .set("entities", ds.num_entities())
         .set("relations", ds.num_relations())
@@ -182,14 +155,14 @@ fn bench_epoch_scaling() -> Json {
         .set("batch", BATCH_SIZE)
         .set("loss", "full")
         .set("reps", reps)
-        .set("quick", quick)
-        .set("seq_epoch_ms_min", seq_min * 1e3)
-        .set("seq_epoch_ms_med", seq_med * 1e3);
+        .set("quick", quick);
 
+    let stats: Vec<(f64, f64)> = dp.iter_mut().map(|(.., times)| min_med(times)).collect();
+    // POOL_SIZES starts at 1: every speedup is against one thread.
+    let one_thread_min = stats[0].0;
     let mut speedup_at_4 = 0.0;
-    for ((_, _, _, times), &t) in dp.iter_mut().zip(&POOL_SIZES) {
-        let (dp_min, dp_med) = min_med(times);
-        let speedup = seq_min / dp_min;
+    for (&(dp_min, dp_med), &t) in stats.iter().zip(&POOL_SIZES) {
+        let speedup = one_thread_min / dp_min;
         if t == 4 {
             speedup_at_4 = speedup;
         }
@@ -219,10 +192,10 @@ fn bench_obs_overhead(results: Json) -> Json {
     let ds = Preset::Tiny.build(7);
     let filter = FilterIndex::build(&ds);
     let model = BlockModel::universal(zoo::complex(), ds.num_relations());
-    // Sequential execution: the data-parallel path on an oversubscribed
-    // container adds scheduler noise an order of magnitude larger than
-    // the effect being measured. The sequential trainer walks the same
-    // instrumented epoch/batch/eval code.
+    // A one-thread pool: more threads on an oversubscribed container
+    // add scheduler noise an order of magnitude larger than the effect
+    // being measured, and the trainer walks the same instrumented
+    // epoch/batch/step/eval code at every pool size.
     let cfg = TrainConfig {
         dim: 32,
         max_epochs: 4,
@@ -230,7 +203,6 @@ fn bench_obs_overhead(results: Json) -> Json {
         patience: 4,
         batch_size: BATCH_SIZE,
         loss: LossMode::Full,
-        execution: Execution::Sequential,
         ..TrainConfig::default()
     };
     let pool = ThreadPool::new(1);
@@ -263,13 +235,13 @@ fn bench_obs_overhead(results: Json) -> Json {
     let overhead_pct = 100.0 * (ratio_med - 1.0);
     println!(
         "{:<40} min {:>8.3} ms  med {:>8.3} ms",
-        "train_epoch/obs_off/tiny_d32_seq",
+        "train_epoch/obs_off/tiny_d32_full",
         off_min * 1e3,
         off_med * 1e3
     );
     println!(
         "{:<40} min {:>8.3} ms  med {:>8.3} ms  overhead(paired med) {overhead_pct:+.1}%",
-        "train_epoch/obs_on/tiny_d32_seq",
+        "train_epoch/obs_on/tiny_d32_full",
         on_min * 1e3,
         on_med * 1e3
     );

@@ -13,7 +13,7 @@ use eras_data::Preset;
 use eras_search::autosf::AutoSfConfig;
 use eras_search::evaluator::SearchBudget;
 use eras_search::tpe::TpeConfig;
-use eras_train::trainer::{Execution, TrainConfig};
+use eras_train::trainer::TrainConfig;
 use eras_train::LossMode;
 
 /// All budgets needed to run one dataset through every experiment.
@@ -56,7 +56,6 @@ impl Profile {
             patience: 3,
             loss: LossMode::Sampled { negatives: 64 },
             seed,
-            execution: Execution::Sequential,
             ranking: eras_train::RankingMode::Full,
             bounds: eras_sf::NormBounds::default(),
         };

@@ -9,7 +9,7 @@ use eras_search::evaluator::SearchBudget;
 use eras_search::{autosf, random, tpe};
 use eras_train::eval::link_prediction;
 use eras_train::trainer::{
-    train_standalone, train_standalone_resumable, CheckpointSpec, Execution, TrainConfig,
+    train_standalone, train_standalone_resumable, CheckpointSpec, TrainConfig,
 };
 use eras_train::{BlockModel, Corruption, LossMode, RankingMode};
 use std::fmt::Write as _;
@@ -24,10 +24,10 @@ USAGE:
   eras generate --preset NAME --out DIR [--seed N]
   eras train    (--preset NAME | --data DIR) [--model complex] [--dim 32]
                 [--epochs 40] [--seed N] [--save FILE] [--snapshot FILE]
-                [--loss sampled|full|neg] [--negatives N] [--full-loss]
+                [--loss sampled|full|neg] [--negatives N]
                 [--gamma 12.0] [--adv-temp 1.0] [--corruption uniform|bernoulli]
                 [--sampled-eval N] [--eval-seed N]
-                [--parallel] [--threads N] [--emb-bound 1.0]
+                [--threads N] [--emb-bound 1.0]
                 [--checkpoint FILE] [--checkpoint-every N] [--resume]
                 [--quiet] [--log FILE] [--profile]
   eras search   (--preset NAME | --data DIR) [--method eras] [--groups 3]
@@ -46,9 +46,11 @@ USAGE:
 
 PRESETS: wn18 wn18rr fb15k fb15k237 yago tiny scale1m scale-smoke
 MODELS:  distmult complex simple analogy
-LOSSES:  sampled (1-vs-k softmax)  full (1-vs-all softmax)
-         neg (gamma-margin logsigmoid with negative sampling; scales to
-         millions of entities — pair with --sampled-eval / eval --sampled)
+LOSSES:  sampled (1-vs-k softmax; sequential step)
+         full (1-vs-all softmax; sharded step on the pool)
+         neg (gamma-margin logsigmoid with negative sampling; sharded step;
+         scales to millions of entities — pair with --sampled-eval /
+         eval --sampled)
 METHODS: eras autosf random tpe
 PASSES:  sf (DSL analysis)  numeric (abstract-interpretation certificates)
          grad (gradient contracts)
@@ -148,15 +150,11 @@ pub fn generate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse the training-loss family: `--loss sampled|full|neg` (with
-/// `--full-loss` kept as the historical spelling of `--loss full`).
+/// Parse the training-loss family: `--loss sampled|full|neg`. The loss
+/// also picks the training step: `full` and `neg` train on the sharded
+/// step, which uses the `--threads` pool.
 fn loss_mode(args: &Args) -> Result<LossMode, String> {
-    let name = match args.get("loss") {
-        Some(name) => name,
-        None if args.has("full-loss") => "full",
-        None => "sampled",
-    };
-    Ok(match name {
+    Ok(match args.get("loss").unwrap_or("sampled") {
         "full" => LossMode::Full,
         "sampled" => LossMode::Sampled {
             negatives: args.get_or("negatives", 64usize)?,
@@ -205,11 +203,6 @@ fn train_config(args: &Args) -> Result<TrainConfig, String> {
         ranking: ranking_mode(args, "sampled-eval")?,
         n3: args.get_or("n3", 0.0f32)?,
         seed: args.get_or("seed", 7u64)?,
-        execution: if args.has("parallel") {
-            Execution::DataParallel
-        } else {
-            Execution::Sequential
-        },
         bounds: eras_sf::NormBounds::uniform(args.get_or("emb-bound", 1.0f32)?),
         ..TrainConfig::default()
     })

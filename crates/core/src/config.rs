@@ -211,8 +211,9 @@ pub struct ErasConfig {
     pub zero_op_bias: f32,
     /// Sampling temperature for exploration during search.
     pub temperature: f32,
-    /// Loss mode for shared-embedding training (sampled by default — this
-    /// is the "cheap" inner loop).
+    /// Loss mode for shared-embedding training: the sampled loss (the
+    /// "cheap" inner loop) is the only one its sequential step trains;
+    /// any other is a config error (`E311`).
     pub search_loss: LossMode,
     /// Run EM re-clustering every this many epochs.
     pub em_every: usize,
@@ -398,14 +399,18 @@ impl ErasConfig {
                 format!("must be finite, got {}", self.zero_op_bias),
             );
         }
-        if let LossMode::Sampled { negatives } = self.search_loss {
-            if negatives == 0 {
-                out.error(
-                    "E310",
-                    "search_loss",
-                    "sampled loss mode needs at least one negative".into(),
-                );
-            }
+        match self.search_loss {
+            LossMode::Sampled { negatives: 0 } => out.error(
+                "E310",
+                "search_loss",
+                "sampled loss mode needs at least one negative".into(),
+            ),
+            LossMode::Sampled { .. } => {}
+            other => out.error(
+                "E311",
+                "search_loss",
+                format!("the shared-embedding step trains the sampled loss only, got {other:?}"),
+            ),
         }
         if self.derive_screen > self.derive_k && self.derive_k > 0 {
             out.warn(
@@ -561,6 +566,15 @@ mod tests {
             ..ErasConfig::default()
         };
         assert!(cfg.diagnostics().iter().any(|d| d.code == "E310"));
+    }
+
+    #[test]
+    fn unsampled_search_loss_is_an_error() {
+        let cfg = ErasConfig {
+            search_loss: LossMode::Full,
+            ..ErasConfig::default()
+        };
+        assert!(cfg.diagnostics().iter().any(|d| d.code == "E311"));
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! function of `(structure, dataset, config)` — so
 //! [`StandaloneEvaluator::evaluate_batch`] trains a batch's cache
 //! misses concurrently on the shared thread pool, publishing results
-//! through a mutex-free [`ShardedCache`]. Inside a batch the training
-//! config is pinned to [`Execution::Sequential`] (the classic AutoSF
-//! protocol), so a candidate's MRR never depends on how many
-//! candidates ride in its batch, and bookkeeping (budget, trace, best)
+//! through a mutex-free [`ShardedCache`]. Every training step is
+//! bit-identical for every pool size, and the configured loss picks it
+//! (the search profiles' sampled loss trains on the sequential step, the
+//! classic AutoSF protocol), so a candidate's MRR never depends on how
+//! many candidates ride in its batch, and bookkeeping (budget, trace, best)
 //! is applied in candidate order after the parallel region — for a
 //! given candidate sequence, batched and one-at-a-time evaluation
 //! produce the same MRRs, the same trace sequence and the same winner.
@@ -33,7 +34,7 @@ use eras_obs::metrics::Counter;
 use eras_sf::canonical::canonicalize;
 use eras_sf::numeric::{certify, Refutation, Verdict};
 use eras_sf::BlockSf;
-use eras_train::trainer::{train_standalone_on, Execution, TrainConfig};
+use eras_train::trainer::{train_standalone_on, TrainConfig};
 use eras_train::BlockModel;
 use std::collections::HashSet;
 
@@ -254,13 +255,11 @@ impl<'a> StandaloneEvaluator<'a> {
         }
 
         if !missing.is_empty() {
-            // Train misses concurrently. The per-candidate protocol is
-            // pinned to the sequential minibatch step — the classic
-            // AutoSF evaluation — so an MRR never depends on the batch
-            // or the pool. Each task publishes straight into the
-            // lock-free cache.
-            let mut inner_cfg = self.cfg.clone();
-            inner_cfg.execution = Execution::Sequential;
+            // Train misses concurrently. A stand-alone run's outcome is
+            // a pure function of its config, so an MRR never depends on
+            // the batch or the pool. Each task publishes straight into
+            // the lock-free cache.
+            let inner_cfg = &self.cfg;
             let dataset = self.dataset;
             let filter = self.filter;
             let pool = self.pool;
@@ -268,7 +267,7 @@ impl<'a> StandaloneEvaluator<'a> {
             let trained: Vec<f64> = pool.map(missing.len(), |k| {
                 let i = missing[k];
                 let model = BlockModel::universal(candidates[i].clone(), dataset.num_relations());
-                let outcome = train_standalone_on(&model, dataset, filter, &inner_cfg, pool);
+                let outcome = train_standalone_on(&model, dataset, filter, inner_cfg, pool);
                 let mrr = outcome.best_valid.mrr;
                 cache.insert(canon[i].clone(), mrr);
                 mrr

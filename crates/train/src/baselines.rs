@@ -533,60 +533,6 @@ impl RotatE {
     }
 }
 
-impl RotatE {
-    /// One epoch with RotatE's *self-adversarial* negative sampling
-    /// (Sun et al. 2019): per positive, `k` negatives are drawn and their
-    /// loss terms weighted by `softmax(alpha · score)` — hard negatives
-    /// get more gradient. Loss per example:
-    /// `−log σ(γ + s⁺) − Σ_i p_i log σ(−s⁻_i − γ)` with `s = −distance`
-    /// and the weights `p_i` treated as constants.
-    pub fn train_epoch_self_adversarial(
-        &mut self,
-        emb: &mut Embeddings,
-        train: &[Triple],
-        filter: &FilterIndex,
-        k: usize,
-        alpha: f32,
-        rng: &mut Rng,
-    ) -> f32 {
-        use eras_linalg::softmax::{sigmoid, softmax_inplace, softplus};
-        let dim = emb.dim();
-        let num_entities = emb.num_entities();
-        let gamma = self.cfg.margin;
-        let mut total = 0.0f32;
-        let mut count = 0usize;
-        let mut g = TripleGrads::new(dim);
-        let mut grad = vec![0.0f32; dim];
-
-        for &pos in train {
-            let d_pos = -Self::score_raw(emb, pos);
-            // Positive term: −log σ(γ − d⁺); ∂/∂d⁺ = σ(d⁺ − γ).
-            total += softplus(d_pos - gamma);
-            Self::distance_grads(emb, pos, &mut g);
-            self.apply_weighted(emb, pos, sigmoid(d_pos - gamma), &g, &mut grad);
-            // Negatives with self-adversarial weights.
-            let negs: Vec<Triple> = (0..k.max(1))
-                .map(|_| corrupt(pos, num_entities, filter, rng))
-                .collect();
-            let dists: Vec<f32> = negs.iter().map(|&n| -Self::score_raw(emb, n)).collect();
-            let mut weights: Vec<f32> = dists.iter().map(|&d| -alpha * d).collect();
-            softmax_inplace(&mut weights);
-            for ((&neg, &d_neg), &p) in negs.iter().zip(&dists).zip(&weights) {
-                // Term: −p · log σ(d⁻ − γ); ∂/∂d⁻ = −p σ(γ − d⁻).
-                total += p * softplus(gamma - d_neg);
-                Self::distance_grads(emb, neg, &mut g);
-                self.apply_weighted(emb, neg, -p * sigmoid(gamma - d_neg), &g, &mut grad);
-            }
-            count += 1;
-        }
-        if count > 0 {
-            total / count as f32
-        } else {
-            0.0
-        }
-    }
-}
-
 impl ScoreModel for RotatE {
     fn score_all_tails(&self, emb: &Embeddings, h: u32, r: u32, out: &mut [f32]) {
         let dim = emb.dim();
@@ -986,28 +932,6 @@ mod tests {
             "fd {fd} vs -analytic {}",
             -analytic
         );
-    }
-
-    #[test]
-    fn rotate_self_adversarial_training_learns() {
-        let (mut emb, filter, train, mut rng) = setup(8);
-        let mut model = RotatE::new(&emb, MarginConfig::default());
-        let first = model.train_epoch_self_adversarial(&mut emb, &train, &filter, 4, 1.0, &mut rng);
-        let mut last = first;
-        for _ in 0..50 {
-            last = model.train_epoch_self_adversarial(&mut emb, &train, &filter, 4, 1.0, &mut rng);
-        }
-        assert!(last < first, "loss {first} -> {last}");
-        // Positives should outrank fresh corruptions.
-        let mut wins = 0;
-        for i in 0..60 {
-            let pos = train[i % train.len()];
-            let neg = corrupt(pos, 10, &filter, &mut rng);
-            if model.score_triple(&emb, pos) > model.score_triple(&emb, neg) {
-                wins += 1;
-            }
-        }
-        assert!(wins > 40, "{wins}/60");
     }
 
     #[test]

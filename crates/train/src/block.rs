@@ -32,15 +32,21 @@
 //! [`NegCtx`]) and optional self-adversarial weighting — the objective
 //! that trains million-entity graphs, because no step ever touches more
 //! than the positive + sampled rows.
+//!
+//! The loss mode picks the step. [`train_minibatch`] is the sequential
+//! step of [`LossMode::Sampled`], the objective of the search loops,
+//! which train many models at a time on the pool. [`LossMode::Full`] and
+//! [`LossMode::NegSampling`] train one model that has the pool to
+//! itself, on the sharded step in [`crate::parallel`].
 
 use crate::embeddings::Embeddings;
 use crate::eval::{CandidateSet, ScoreModel};
-use crate::loss::{Corruption, LossMode};
-use crate::negative::{sample_neg_block, NegCtx};
+use crate::loss::LossMode;
+use crate::negative::NegCtx;
 use eras_data::Triple;
 use eras_linalg::optim::Optimizer;
 use eras_linalg::scan::{scan_rows, RankTally};
-use eras_linalg::softmax::{log_loss_and_residual, neg_sampling_loss_and_residual};
+use eras_linalg::softmax::log_loss_and_residual;
 use eras_linalg::vecops;
 use eras_linalg::Rng;
 use eras_sf::BlockSf;
@@ -305,8 +311,8 @@ impl ScoreModel for BlockModel {
     }
 }
 
-/// Reusable scratch buffers for [`train_minibatch`] — keeps the hot loop
-/// allocation-free (one set per trainer).
+/// Reusable scratch buffers for [`train_minibatch`] and [`apply_n3`] —
+/// keeps the hot loop allocation-free (one set per trainer).
 #[derive(Debug, Default)]
 pub struct BlockScratch {
     q: Vec<f32>,
@@ -315,6 +321,7 @@ pub struct BlockScratch {
     grad_r: Vec<f32>,
     x_copy: Vec<f32>,
     r_copy: Vec<f32>,
+    row_grad: Vec<f32>,
     scores: Vec<f32>,
     candidates: Vec<u32>,
 }
@@ -332,14 +339,15 @@ impl BlockScratch {
         self.grad_r.resize(dim, 0.0);
         self.x_copy.resize(dim, 0.0);
         self.r_copy.resize(dim, 0.0);
+        self.row_grad.resize(dim, 0.0);
     }
 }
 
-/// One direction of the 1-vs-all step. `anchor` is the known entity
-/// (head for tail-prediction), `target` the entity to predict.
-/// `pub(crate)` so the gradient contract checker can isolate one side.
+/// One direction of the sampled 1-vs-all step: a softmax over the
+/// target (slot 0) and `negatives` uniform draws. `anchor` is the known
+/// entity (head for tail-prediction), `target` the entity to predict.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn train_side(
+fn train_side(
     model: &BlockModel,
     sf_is_transposed: bool,
     emb: &mut Embeddings,
@@ -348,8 +356,7 @@ pub(crate) fn train_side(
     anchor: u32,
     rel: u32,
     target: u32,
-    mode: LossMode,
-    neg: Option<&NegCtx>,
+    negatives: usize,
     rng: &mut Rng,
     scratch: &mut BlockScratch,
 ) -> f32 {
@@ -369,118 +376,40 @@ pub(crate) fn train_side(
         .copy_from_slice(emb.relation.row(rel as usize));
     model.query_with(sf, &scratch.x_copy, &scratch.r_copy, &mut scratch.q);
 
-    // Candidate set: all entities, or target + k uniform negatives.
+    // Candidate set: target + k uniform negatives (a draw that hits the
+    // target moves to the next entity).
     let num_entities = emb.num_entities();
     scratch.candidates.clear();
-    let target_slot;
-    match mode {
-        LossMode::Full => {
-            scratch.scores.resize(num_entities, 0.0);
-            emb.entity.matvec(&scratch.q, &mut scratch.scores);
-            target_slot = target as usize;
-            // Candidates are implicit (all); leave `candidates` empty.
+    scratch.candidates.push(target);
+    for _ in 0..negatives {
+        let mut c = rng.next_below(num_entities) as u32;
+        if c == target {
+            c = (c + 1) % num_entities as u32;
         }
-        LossMode::Sampled { negatives } => {
-            scratch.candidates.push(target);
-            for _ in 0..negatives {
-                let mut c = rng.next_below(num_entities) as u32;
-                if c == target {
-                    c = (c + 1) % num_entities as u32;
-                }
-                scratch.candidates.push(c);
-            }
-            scratch.scores.resize(scratch.candidates.len(), 0.0);
-            for (slot, &c) in scratch.candidates.iter().enumerate() {
-                scratch.scores[slot] = vecops::dot(&scratch.q, emb.entity.row(c as usize));
-            }
-            target_slot = 0;
-        }
-        LossMode::NegSampling { negatives, .. } => {
-            // Slot 0 is the positive; the block of filtered negatives
-            // corrupts the side being predicted (tail unless this is
-            // the transposed/head-prediction direction).
-            scratch.candidates.push(target);
-            scratch.candidates.resize(1 + negatives, 0);
-            sample_neg_block(
-                anchor,
-                rel,
-                target,
-                !sf_is_transposed,
-                num_entities,
-                neg.map(|n| n.filter),
-                rng,
-                &mut scratch.candidates[1..],
-            );
-            scratch.scores.resize(scratch.candidates.len(), 0.0);
-            for (slot, &c) in scratch.candidates.iter().enumerate() {
-                scratch.scores[slot] = vecops::dot(&scratch.q, emb.entity.row(c as usize));
-            }
-            target_slot = 0;
-        }
+        scratch.candidates.push(c);
     }
-
-    let loss = match mode {
-        LossMode::NegSampling {
-            gamma,
-            adversarial_temp,
-            ..
-        } => neg_sampling_loss_and_residual(&mut scratch.scores, gamma, adversarial_temp),
-        _ => log_loss_and_residual(&mut scratch.scores, target_slot),
-    };
+    scratch.scores.resize(scratch.candidates.len(), 0.0);
+    for (slot, &c) in scratch.candidates.iter().enumerate() {
+        scratch.scores[slot] = vecops::dot(&scratch.q, emb.entity.row(c as usize));
+    }
+    let loss = log_loss_and_residual(&mut scratch.scores, 0);
     // scratch.scores now holds the per-candidate residual ∂L/∂s.
 
-    // g_q = Σ_c resid[c] · E[c]; entity rows get resid[c] · q.
+    // g_q = Σ_c resid[c] · E[c]; entity rows get resid[c] · q, each
+    // stepped right after it is read. Negatives are drawn with
+    // replacement, so a repeated candidate reads its row after the
+    // earlier copy's step; the seeded search results depend on that
+    // order.
     vecops::zero(&mut scratch.g_q);
-    match mode {
-        LossMode::Full => {
-            emb.entity
-                .matvec_transpose(&scratch.scores, &mut scratch.g_q);
-            // Dense candidate update: every entity row moves. Apply in one
-            // sweep to keep optimizer state contiguous.
-            let dim = emb.dim();
-            let mut row_grad = vec![0.0f32; dim];
-            for c in 0..num_entities {
-                let resid = scratch.scores[c];
-                if resid == 0.0 {
-                    continue;
-                }
-                vecops::scaled_copy(resid, &scratch.q, &mut row_grad);
-                opt_entity.step_at(emb.entity.as_mut_slice(), c * dim, &row_grad);
-            }
-        }
-        LossMode::Sampled { .. } => {
-            let dim = emb.dim();
-            let mut row_grad = vec![0.0f32; dim];
-            for (slot, &c) in scratch.candidates.iter().enumerate() {
-                let resid = scratch.scores[slot];
-                vecops::axpy(resid, emb.entity.row(c as usize), &mut scratch.g_q);
-                vecops::scaled_copy(resid, &scratch.q, &mut row_grad);
-                opt_entity.step_at(emb.entity.as_mut_slice(), c as usize * dim, &row_grad);
-            }
-        }
-        LossMode::NegSampling { .. } => {
-            // Two passes: accumulate g_q from the *pre-update* rows,
-            // then scatter the entity steps. Negatives are drawn with
-            // replacement, and a duplicate read after its first step
-            // would make the applied update not the gradient of any
-            // single point — the finite-difference contract
-            // (`block-neg-sampling`) pins this down. Also matches the
-            // data-parallel path, which always accumulates shard-side
-            // before applying.
-            let dim = emb.dim();
-            let mut row_grad = vec![0.0f32; dim];
-            for (slot, &c) in scratch.candidates.iter().enumerate() {
-                vecops::axpy(
-                    scratch.scores[slot],
-                    emb.entity.row(c as usize),
-                    &mut scratch.g_q,
-                );
-            }
-            for (slot, &c) in scratch.candidates.iter().enumerate() {
-                vecops::scaled_copy(scratch.scores[slot], &scratch.q, &mut row_grad);
-                opt_entity.step_at(emb.entity.as_mut_slice(), c as usize * dim, &row_grad);
-            }
-        }
+    for (slot, &c) in scratch.candidates.iter().enumerate() {
+        let resid = scratch.scores[slot];
+        vecops::axpy(resid, emb.entity.row(c as usize), &mut scratch.g_q);
+        vecops::scaled_copy(resid, &scratch.q, &mut scratch.row_grad);
+        opt_entity.step_at(
+            emb.entity.as_mut_slice(),
+            c as usize * dim,
+            &scratch.row_grad,
+        );
     }
 
     // Chain rule through q into the anchor row and the relation row.
@@ -507,38 +436,17 @@ pub(crate) fn train_side(
     loss
 }
 
-/// Whether `mode` corrupts the tail side of `triple` this step: both
-/// sides under every mode except Bernoulli negative sampling, which
-/// draws one side per triple from the relation's fitted tail
-/// probability. Returns `(tail_side, head_side)`.
-#[inline]
-pub(crate) fn sides_for(
-    mode: LossMode,
-    neg: Option<&NegCtx>,
-    t: Triple,
-    rng: &mut Rng,
-) -> (bool, bool) {
-    match mode {
-        LossMode::NegSampling {
-            corruption: Corruption::Bernoulli,
-            ..
-        } => {
-            let p = neg
-                .and_then(|n| n.bernoulli.as_ref())
-                .map(|b| b.tail_prob(t.rel))
-                .unwrap_or(0.5);
-            let tail = rng.bernoulli(p);
-            (tail, !tail)
-        }
-        _ => (true, true),
-    }
-}
-
-/// One pass over a minibatch: for every triple, a tail-prediction and a
-/// head-prediction step (or the Bernoulli-chosen single side under
-/// [`LossMode::NegSampling`]). `neg` supplies the filtered-negative
-/// context for the neg-sampling objective; `None` falls back to
-/// target-excluded uniform sampling. Returns the mean per-side loss.
+/// One sequential pass over a minibatch under [`LossMode::Sampled`]:
+/// for every triple, a tail-prediction and a head-prediction step, each
+/// applied to the optimizer as soon as it is computed. This is the step
+/// of the search loops, which train many models at a time on the pool.
+/// Returns the mean per-side loss. `_neg` is unused: the sampled
+/// softmax draws unfiltered negatives.
+///
+/// # Panics
+///
+/// Under [`LossMode::Full`] and [`LossMode::NegSampling`], which train
+/// on [`crate::parallel::train_minibatch_parallel`].
 #[allow(clippy::too_many_arguments)]
 pub fn train_minibatch(
     model: &BlockModel,
@@ -547,53 +455,49 @@ pub fn train_minibatch(
     opt_relation: &mut dyn Optimizer,
     batch: &[Triple],
     mode: LossMode,
-    neg: Option<&NegCtx>,
+    _neg: Option<&NegCtx>,
     rng: &mut Rng,
     scratch: &mut BlockScratch,
 ) -> f32 {
+    let LossMode::Sampled { negatives } = mode else {
+        panic!(
+            "train_minibatch trains LossMode::Sampled only; \
+             {mode:?} trains on train_minibatch_parallel"
+        );
+    };
     if batch.is_empty() {
         return 0.0;
     }
     let mut total = 0.0f32;
-    let mut sides = 0u32;
     for &t in batch {
-        let (tail_side, head_side) = sides_for(mode, neg, t, rng);
-        if tail_side {
-            total += train_side(
-                model,
-                false,
-                emb,
-                opt_entity,
-                opt_relation,
-                t.head,
-                t.rel,
-                t.tail,
-                mode,
-                neg,
-                rng,
-                scratch,
-            );
-            sides += 1;
-        }
-        if head_side {
-            total += train_side(
-                model,
-                true,
-                emb,
-                opt_entity,
-                opt_relation,
-                t.tail,
-                t.rel,
-                t.head,
-                mode,
-                neg,
-                rng,
-                scratch,
-            );
-            sides += 1;
-        }
+        total += train_side(
+            model,
+            false,
+            emb,
+            opt_entity,
+            opt_relation,
+            t.head,
+            t.rel,
+            t.tail,
+            negatives,
+            rng,
+            scratch,
+        );
+        total += train_side(
+            model,
+            true,
+            emb,
+            opt_entity,
+            opt_relation,
+            t.tail,
+            t.rel,
+            t.head,
+            negatives,
+            rng,
+            scratch,
+        );
     }
-    total / sides.max(1) as f32
+    total / (2 * batch.len()) as f32
 }
 
 /// Apply the N3 (nuclear 3-norm) regularisation gradient of Lacroix et
@@ -607,9 +511,11 @@ pub fn apply_n3(
     opt_relation: &mut dyn Optimizer,
     batch: &[Triple],
     lambda: f32,
+    scratch: &mut BlockScratch,
 ) {
     let dim = emb.dim();
-    let mut grad = vec![0.0f32; dim];
+    scratch.row_grad.resize(dim, 0.0);
+    let grad = &mut scratch.row_grad;
     let fill = |row: &[f32], grad: &mut [f32]| {
         for (g, &x) in grad.iter_mut().zip(row) {
             *g = 3.0 * lambda * x * x * x.signum();
@@ -617,11 +523,11 @@ pub fn apply_n3(
     };
     for t in batch {
         for &e in &[t.head, t.tail] {
-            fill(emb.entity.row(e as usize), &mut grad);
-            opt_entity.step_at(emb.entity.as_mut_slice(), e as usize * dim, &grad);
+            fill(emb.entity.row(e as usize), grad);
+            opt_entity.step_at(emb.entity.as_mut_slice(), e as usize * dim, grad);
         }
-        fill(emb.relation.row(t.rel as usize), &mut grad);
-        opt_relation.step_at(emb.relation.as_mut_slice(), t.rel as usize * dim, &grad);
+        fill(emb.relation.row(t.rel as usize), grad);
+        opt_relation.step_at(emb.relation.as_mut_slice(), t.rel as usize * dim, grad);
     }
 }
 
@@ -731,120 +637,6 @@ mod tests {
         assert!((s0 - s_dm).abs() < 1e-6);
     }
 
-    /// The load-bearing test: analytic gradients == finite differences.
-    #[test]
-    fn gradients_match_finite_differences() {
-        let dim = 8;
-        let (emb, mut rng) = setup(dim);
-        let model = BlockModel::universal(zoo::complex(), 3);
-        let t = Triple::new(1, 0, 2);
-
-        // Loss as a pure function of embeddings (tail side, full softmax).
-        let loss_of = |emb: &Embeddings| -> f32 {
-            let mut q = vec![0.0; dim];
-            model.tail_query(emb, t.head, t.rel, &mut q);
-            let mut scores = vec![0.0; emb.num_entities()];
-            emb.entity.matvec(&q, &mut scores);
-            log_loss_and_residual(&mut scores, t.tail as usize)
-        };
-
-        // Analytic gradient via an SGD step with lr = 1: params_new =
-        // params_old − grad, so grad = old − new.
-        let mut emb_step = emb.clone();
-        let mut opt_e = Sgd::new(1.0, 0.0);
-        let mut opt_r = Sgd::new(1.0, 0.0);
-        let mut scratch = BlockScratch::new();
-        train_side(
-            &model,
-            false,
-            &mut emb_step,
-            &mut opt_e,
-            &mut opt_r,
-            t.head,
-            t.rel,
-            t.tail,
-            LossMode::Full,
-            None,
-            &mut rng,
-            &mut scratch,
-        );
-        let grad_entity: Vec<f32> = emb
-            .entity
-            .as_slice()
-            .iter()
-            .zip(emb_step.entity.as_slice())
-            .map(|(o, n)| o - n)
-            .collect();
-        let grad_relation: Vec<f32> = emb
-            .relation
-            .as_slice()
-            .iter()
-            .zip(emb_step.relation.as_slice())
-            .map(|(o, n)| o - n)
-            .collect();
-
-        let eps = 2e-3f32;
-        // Check a sample of entity coordinates (rows 1, 2, 5) and all
-        // relation-0 coordinates.
-        for &(row, col) in &[(1usize, 0usize), (1, 5), (2, 3), (5, 7), (2, 0)] {
-            let idx = row * dim + col;
-            let mut plus = emb.clone();
-            plus.entity.as_mut_slice()[idx] += eps;
-            let mut minus = emb.clone();
-            minus.entity.as_mut_slice()[idx] -= eps;
-            let fd = (loss_of(&plus) - loss_of(&minus)) / (2.0 * eps);
-            assert!(
-                (fd - grad_entity[idx]).abs() < 2e-2,
-                "entity[{row},{col}]: fd {fd} vs analytic {}",
-                grad_entity[idx]
-            );
-        }
-        for col in 0..dim {
-            let mut plus = emb.clone();
-            plus.relation.as_mut_slice()[col] += eps;
-            let mut minus = emb.clone();
-            minus.relation.as_mut_slice()[col] -= eps;
-            let fd = (loss_of(&plus) - loss_of(&minus)) / (2.0 * eps);
-            assert!(
-                (fd - grad_relation[col]).abs() < 2e-2,
-                "relation[0,{col}]: fd {fd} vs analytic {}",
-                grad_relation[col]
-            );
-        }
-    }
-
-    #[test]
-    fn training_reduces_loss() {
-        let (mut emb, mut rng) = setup(8);
-        let model = BlockModel::universal(zoo::complex(), 3);
-        let data: Vec<Triple> = vec![
-            Triple::new(0, 0, 1),
-            Triple::new(1, 0, 2),
-            Triple::new(2, 1, 3),
-            Triple::new(3, 1, 4),
-            Triple::new(4, 2, 5),
-        ];
-        let before = evaluate_loss(&model, &emb, &data);
-        let mut opt_e = Adagrad::new(emb.entity.as_slice().len(), 0.1, 1e-4);
-        let mut opt_r = Adagrad::new(emb.relation.as_slice().len(), 0.1, 1e-4);
-        let mut scratch = BlockScratch::new();
-        for _ in 0..30 {
-            train_minibatch(
-                &model,
-                &mut emb,
-                &mut opt_e,
-                &mut opt_r,
-                &data,
-                LossMode::Full,
-                None,
-                &mut rng,
-                &mut scratch,
-            );
-        }
-        let after = evaluate_loss(&model, &emb, &data);
-        assert!(after < before * 0.8, "loss {before} -> {after}");
-    }
-
     #[test]
     fn sampled_mode_also_learns() {
         let (mut emb, mut rng) = setup(8);
@@ -869,6 +661,36 @@ mod tests {
         }
         let after = evaluate_loss(&model, &emb, &data);
         assert!(after < before, "loss {before} -> {after}");
+    }
+
+    fn step_once(mode: LossMode) {
+        let (mut emb, mut rng) = setup(8);
+        let model = BlockModel::universal(zoo::complex(), 3);
+        let mut opt_e = Sgd::new(0.1, 0.0);
+        let mut opt_r = Sgd::new(0.1, 0.0);
+        train_minibatch(
+            &model,
+            &mut emb,
+            &mut opt_e,
+            &mut opt_r,
+            &[Triple::new(0, 0, 1)],
+            mode,
+            None,
+            &mut rng,
+            &mut BlockScratch::new(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trains on train_minibatch_parallel")]
+    fn full_mode_is_rejected() {
+        step_once(LossMode::Full);
+    }
+
+    #[test]
+    #[should_panic(expected = "trains on train_minibatch_parallel")]
+    fn neg_sampling_mode_is_rejected() {
+        step_once(LossMode::neg_sampling_default());
     }
 
     #[test]

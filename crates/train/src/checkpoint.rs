@@ -115,10 +115,6 @@ pub fn config_fingerprint(
     // cfg.bounds is deliberately absent: the declared norm bounds feed
     // only the static certifier, never the update sequence, so a
     // re-declared contract must still resume an existing run.
-    h.usize(match cfg.execution {
-        crate::trainer::Execution::Sequential => 1,
-        crate::trainer::Execution::DataParallel => 2,
-    });
     h.usize(num_entities);
     h.usize(num_relations);
     h.usize(num_train);

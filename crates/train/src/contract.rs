@@ -6,16 +6,17 @@
 //! its parameters as one flat `f32` vector. `loss(params)` re-evaluates
 //! the *production* forward code at the given parameters; `grad(params)`
 //! assembles a dense gradient from the *production* gradient kernels
-//! (`distance_grads` / `side_grads` / `step_grads`, or an SGD(lr=1)
-//! parameter diff for the block model). [`check_case`] then compares the
-//! analytic gradient against `(L(x+ε) − L(x−ε)) / 2ε` coordinate by
-//! coordinate and reports the worst relative error per tensor.
+//! (`distance_grads` / `side_grads` / `step_grads`, or the sharded
+//! step's shard gradient for the block model). [`check_case`] then
+//! compares the analytic gradient against `(L(x+ε) − L(x−ε)) / 2ε`
+//! coordinate by coordinate and reports the worst relative error per
+//! tensor.
 //!
 //! The `eras audit` gradient pass runs [`run_all_contracts`] and fails
 //! on any report whose error exceeds [`DEFAULT_TOLERANCE`].
 
 use crate::baselines::{MarginConfig, RotatE, TransE, TransH, TuckEr};
-use crate::block::{BlockModel, BlockScratch};
+use crate::block::BlockModel;
 use crate::embeddings::Embeddings;
 use crate::eval::ScoreModel;
 use crate::grads::{MlpSideGrads, SideGrads, TransHGrads, TripleGrads, TuckErGrads};
@@ -23,9 +24,9 @@ use crate::hole::HolE;
 use crate::loss::LossMode;
 use crate::mlpe::MlpE;
 use crate::negative::sample_neg_block;
+use crate::parallel::shard_gradient;
 use crate::quate::QuatE;
 use eras_data::Triple;
-use eras_linalg::optim::Sgd;
 use eras_linalg::softmax::{
     log_loss_and_residual, log_sum_exp, neg_sampling_loss_and_residual, sigmoid, softmax_inplace,
     softplus,
@@ -247,7 +248,7 @@ impl GradCase for BlockCase {
     }
 
     /// Tail-side plus head-side full multiclass log-loss — exactly what
-    /// one `train_minibatch` call on this triple descends.
+    /// one `train_minibatch_parallel` call on this triple descends.
     fn loss(&self, params: &[f32]) -> f32 {
         let emb = scatter_emb(&self.emb, params);
         let ne = emb.num_entities();
@@ -261,44 +262,15 @@ impl GradCase for BlockCase {
         tail_loss + head_loss
     }
 
-    /// SGD(lr=1) parameter diff: `grad = params_before − params_after`
-    /// of one full-softmax `train_side` step. Each side starts from the
-    /// original parameters (the production minibatch applies them
-    /// sequentially; here the sum of both sides' gradients *at the same
-    /// point* is what the loss above differentiates to).
+    /// The full-softmax shard gradient of the triple: both sides at the
+    /// same point, summed — what the loss above differentiates to.
     fn grad(&self, params: &[f32]) -> Vec<f32> {
         let emb = scatter_emb(&self.emb, params);
-        let base = gather_emb(&emb);
-        let mut grad = vec![0.0f32; base.len()];
-        let mut scratch = BlockScratch::new();
         // Full mode never samples, so the RNG is inert here.
         let mut rng = Rng::seed_from_u64(0);
-        for (transposed, anchor, target) in [
-            (false, self.triple.head, self.triple.tail),
-            (true, self.triple.tail, self.triple.head),
-        ] {
-            let mut stepped = emb.clone();
-            let mut opt_e = Sgd::new(1.0, 0.0);
-            let mut opt_r = Sgd::new(1.0, 0.0);
-            crate::block::train_side(
-                &self.model,
-                transposed,
-                &mut stepped,
-                &mut opt_e,
-                &mut opt_r,
-                anchor,
-                self.triple.rel,
-                target,
-                LossMode::Full,
-                None,
-                &mut rng,
-                &mut scratch,
-            );
-            for ((g, before), after) in grad.iter_mut().zip(&base).zip(gather_emb(&stepped)) {
-                *g += before - after;
-            }
-        }
-        grad
+        let (entity, relation) =
+            shard_gradient(&self.model, &emb, &[self.triple], LossMode::Full, &mut rng);
+        [entity, relation].concat()
     }
 }
 
@@ -1046,10 +1018,11 @@ impl GradCase for NegSamplingKernelCase {
 // Block model under negative sampling (the million-entity training path)
 // ---------------------------------------------------------------------------
 
-/// End-to-end contract for `train_side` in `LossMode::NegSampling`:
-/// seeded candidate sampling, the fused query/scatter gradient path, and
-/// the logsigmoid kernel, differentiated against a loss rebuilt from the
-/// production forward scorer over the *same* seeded candidates.
+/// End-to-end contract for the sharded step's `LossMode::NegSampling`
+/// kernel: seeded candidate sampling, the fused query/scatter gradient
+/// path, and the logsigmoid kernel, differentiated against a loss
+/// rebuilt from the production forward scorer over the *same* seeded
+/// candidates.
 struct BlockNegSamplingCase {
     emb: Embeddings,
     model: BlockModel,
@@ -1070,12 +1043,16 @@ impl BlockNegSamplingCase {
         }
     }
 
-    /// The two prediction sides with the per-side RNG seed `train_side`
-    /// will be handed: the candidate stream is a pure function of it.
-    fn sides(&self) -> [(bool, u32, u32, u64); 2] {
+    /// The shard's RNG seed: the candidate stream is a pure function of
+    /// it.
+    const SEED: u64 = 21;
+
+    /// The two prediction sides, in the order the shard draws their
+    /// negatives.
+    fn sides(&self) -> [(bool, u32, u32); 2] {
         [
-            (false, self.triple.head, self.triple.tail, 21),
-            (true, self.triple.tail, self.triple.head, 22),
+            (false, self.triple.head, self.triple.tail),
+            (true, self.triple.tail, self.triple.head),
         ]
     }
 
@@ -1110,14 +1087,14 @@ impl GradCase for BlockNegSamplingCase {
     }
 
     /// Rebuild the loss from production pieces: the same seeded
-    /// negative draws (`sample_neg_block` is all `train_side` uses its
-    /// RNG for in this mode), the production triple scorer, and the
-    /// production loss kernel.
+    /// negative draws (under uniform corruption, `sample_neg_block` is
+    /// all a shard uses its RNG for, tail side first), the production
+    /// triple scorer, and the production loss kernel.
     fn loss(&self, params: &[f32]) -> f32 {
         let emb = scatter_emb(&self.emb, params);
         let mut total = 0.0f32;
-        for (transposed, anchor, target, seed) in self.sides() {
-            let mut rng = Rng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(Self::SEED);
+        for (transposed, anchor, target) in self.sides() {
             let mut candidates = vec![target; 1];
             candidates.resize(1 + self.negatives, 0);
             sample_neg_block(
@@ -1146,38 +1123,14 @@ impl GradCase for BlockNegSamplingCase {
         total
     }
 
-    /// SGD(lr=1) parameter diff of one production `train_side` step per
-    /// side, each from the same point with the same per-side RNG seed
-    /// as `loss` — see [`BlockCase::grad`] for why the sides sum.
+    /// The shard gradient of the triple under the same RNG seed as
+    /// `loss`, both sides at the same point.
     fn grad(&self, params: &[f32]) -> Vec<f32> {
         let emb = scatter_emb(&self.emb, params);
-        let base = gather_emb(&emb);
-        let mut grad = vec![0.0f32; base.len()];
-        let mut scratch = BlockScratch::new();
-        for (transposed, anchor, target, seed) in self.sides() {
-            let mut rng = Rng::seed_from_u64(seed);
-            let mut stepped = emb.clone();
-            let mut opt_e = Sgd::new(1.0, 0.0);
-            let mut opt_r = Sgd::new(1.0, 0.0);
-            crate::block::train_side(
-                &self.model,
-                transposed,
-                &mut stepped,
-                &mut opt_e,
-                &mut opt_r,
-                anchor,
-                self.triple.rel,
-                target,
-                self.mode(),
-                None,
-                &mut rng,
-                &mut scratch,
-            );
-            for ((g, before), after) in grad.iter_mut().zip(&base).zip(gather_emb(&stepped)) {
-                *g += before - after;
-            }
-        }
-        grad
+        let mut rng = Rng::seed_from_u64(Self::SEED);
+        let (entity, relation) =
+            shard_gradient(&self.model, &emb, &[self.triple], self.mode(), &mut rng);
+        [entity, relation].concat()
     }
 }
 

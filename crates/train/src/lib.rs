@@ -14,9 +14,9 @@
 //!
 //! - [`embeddings`] — the `ω = {E, R}` parameter tables;
 //! - [`block`] — the workhorse: the (relation-aware) block bilinear model
-//!   `f_n(h,r,t) = Σ ⟨h_i, o, t_j⟩` with full- and sampled-softmax training
-//!   steps. AutoSF, ERAS and the bilinear zoo (DistMult, ComplEx, SimplE,
-//!   Analogy) are all instances;
+//!   `f_n(h,r,t) = Σ ⟨h_i, o, t_j⟩` with the sequential sampled-softmax
+//!   training step of the search loops. AutoSF, ERAS and the bilinear zoo
+//!   (DistMult, ComplEx, SimplE, Analogy) are all instances;
 //! - [`baselines`] — the non-bilinear comparators of Table VI implemented
 //!   from scratch: TransE, TransH, RotatE (margin loss + negative
 //!   sampling) and TuckER (multiclass loss, trained core tensor);
@@ -35,7 +35,8 @@
 //!   thresholds fitted on validation (Table X);
 //! - [`negative`] — filtered negative sampling;
 //! - [`parallel`] — deterministic data-parallel minibatch training on
-//!   the shared thread pool (bit-identical for every thread count);
+//!   the shared thread pool (bit-identical for every thread count): the
+//!   step of the full-softmax and neg-sampling losses;
 //! - [`grads`] — the gradient containers the trainers' pure gradient
 //!   kernels fill (gradient math separated from optimizer application);
 //! - [`contract`] — the gradient contract: every analytic gradient above

@@ -1,11 +1,14 @@
 //! Deterministic data-parallel minibatch training.
 //!
-//! [`train_minibatch_parallel`] is the pool-backed counterpart of
-//! [`crate::block::train_minibatch`]. The sequential step interleaves
-//! gradient computation with optimizer application per example; that
-//! serialises on the optimizer state and, under [`LossMode::Full`],
-//! pays an Adagrad sweep over *every* entity row per side. The
-//! data-parallel step restructures the batch instead:
+//! [`train_minibatch_parallel`] is the step of [`LossMode::Full`] and
+//! [`LossMode::NegSampling`]: each trains one model that has the whole
+//! pool to itself. ([`LossMode::Sampled`], the objective of the search
+//! loops, trains many models at a time on the pool, each on the
+//! sequential [`crate::block::train_minibatch`].) Interleaving gradient
+//! computation with optimizer application per example would serialise
+//! on the optimizer state and, under [`LossMode::Full`], pay an Adagrad
+//! sweep over *every* entity row per side. This step restructures the
+//! batch instead:
 //!
 //! 1. **Fixed sharding.** The batch is cut into `ceil(len / 32)` shards
 //!    of [`SHARD_TRIPLES`] triples. Shard boundaries depend only on the
@@ -15,7 +18,7 @@
 //! 2. **Snapshot gradients.** Every shard computes exact gradients
 //!    against the batch-start embeddings into its own accumulator
 //!    (entity/relation tables with touched-row tracking, so
-//!    [`LossMode::Sampled`] shards stay sparse). No shard writes
+//!    [`LossMode::NegSampling`] shards stay sparse). No shard writes
 //!    anything another shard reads, and each shard's task empties the
 //!    shard before it starts.
 //! 3. **Fixed-shape reduction, split by row.** A second pool dispatch
@@ -58,14 +61,13 @@
 //!   shape, and therefore every floating-point sum, stays bit-identical
 //!   for every thread count.
 //!
-//! `LossMode::Sampled` and [`LossMode::NegSampling`] shards are sparse:
-//! a shard stores only the rows it touches, found through a shard-local
-//! index sized by those rows (`RowIndex`), so a neg-sampling shard over
-//! a million-entity table costs a couple of hundred kilobytes, not the
-//! 4·`N_e`·`d` bytes of a dense accumulator nor a rows-sized map. Every
-//! sparse shard of a batch stays live, which bounds the step's gradient
-//! memory by the batch's own gradient rows. Sampled-mode batches reduce
-//! as one window; neg-sampling batches as windows of `NEG_WINDOW_SHARDS`.
+//! [`LossMode::NegSampling`] shards are sparse: a shard stores only the
+//! rows it touches, found through a shard-local index sized by those
+//! rows (`RowIndex`), so a shard over a million-entity table costs a
+//! couple of hundred kilobytes, not the 4·`N_e`·`d` bytes of a dense
+//! accumulator nor a rows-sized map. Every sparse shard of a batch stays
+//! live, which bounds the step's gradient memory by the batch's own
+//! gradient rows; the batch reduces as windows of `NEG_WINDOW_SHARDS`.
 //!
 //! The result is bit-identical for every thread count (the pool only
 //! decides *which worker* runs a shard or a row range, never what it
@@ -77,16 +79,16 @@
 //!
 //! N3 regularisation is folded into the same batch gradient (evaluated
 //! on the batch-start snapshot) rather than applied as a separate
-//! post-batch pass like the sequential `apply_n3`.
+//! post-batch pass like the sequential [`crate::block::apply_n3`].
 
-use crate::block::{sides_for, BlockModel};
+use crate::block::BlockModel;
 use crate::embeddings::Embeddings;
-use crate::loss::LossMode;
+use crate::loss::{Corruption, LossMode};
 use crate::negative::{sample_neg_block, NegCtx};
 use eras_data::Triple;
 use eras_linalg::optim::{Adagrad, AdagradRange};
 use eras_linalg::pool::ThreadPool;
-use eras_linalg::softmax::{self, log_loss_and_residual, neg_sampling_loss_and_residual};
+use eras_linalg::softmax::{self, neg_sampling_loss_and_residual};
 use eras_linalg::{vecops, Rng};
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -216,8 +218,8 @@ impl RowIndex {
 
 /// A gradient table with slot-compressed sparse storage: `grad` holds
 /// one `dim`-row per *touched* row (first-touch order) and `index`
-/// maps a table row to its slot, so a sampled- or neg-sampling-mode
-/// shard over a million-entity table costs memory proportional to the
+/// maps a table row to its slot, so a neg-sampling shard over a
+/// million-entity table costs memory proportional to the
 /// rows it actually touches, never to the table. [`LossMode::Full`]
 /// shards flip to a dense layout ([`GradTable::mark_dense`]) where row
 /// `r` lives at offset `r·dim` — the deferred outer-product flush
@@ -351,6 +353,47 @@ impl GradTable {
     }
 }
 
+/// Whether `mode` corrupts the tail side of `triple` this step: both
+/// sides under every mode except Bernoulli negative sampling, which
+/// draws one side per triple from the relation's fitted tail
+/// probability. Returns `(tail_side, head_side)`.
+#[inline]
+fn sides_for(mode: LossMode, neg: Option<&NegCtx>, t: Triple, rng: &mut Rng) -> (bool, bool) {
+    match mode {
+        LossMode::NegSampling {
+            corruption: Corruption::Bernoulli,
+            ..
+        } => {
+            let p = neg
+                .and_then(|n| n.bernoulli.as_ref())
+                .map(|b| b.tail_prob(t.rel))
+                .unwrap_or(0.5);
+            let tail = rng.bernoulli(p);
+            (tail, !tail)
+        }
+        _ => (true, true),
+    }
+}
+
+/// One shard's gradient of `triples` at `emb`, as dense row-major
+/// entity and relation tables: the kernels of
+/// [`train_minibatch_parallel`] without the reduce and the optimizer,
+/// with unfiltered negatives and no N3. The gradient contracts
+/// (`crate::contract`) differentiate it.
+pub(crate) fn shard_gradient(
+    model: &BlockModel,
+    emb: &Embeddings,
+    triples: &[Triple],
+    mode: LossMode,
+    rng: &mut Rng,
+) -> (Vec<f32>, Vec<f32>) {
+    let mut shard = Shard::default();
+    shard.accumulate(model, emb, triples, mode, None, 0.0, rng);
+    shard.entity.mark_dense();
+    shard.relation.mark_dense();
+    (shard.entity.grad, shard.relation.grad)
+}
+
 /// One shard's accumulators plus its private work buffers.
 #[derive(Default)]
 struct Shard {
@@ -377,7 +420,8 @@ struct Shard {
 
 impl Shard {
     /// Accumulate exact gradients for `triples` against the snapshot
-    /// `emb`, mirroring the math of `train_side` for both directions.
+    /// `emb`: both prediction directions of every triple (one, under
+    /// Bernoulli corruption), plus N3 when `n3_lambda > 0`.
     #[allow(clippy::too_many_arguments)]
     fn accumulate(
         &mut self,
@@ -394,10 +438,8 @@ impl Shard {
         // candidate rows (dense instead under `Full`) and its anchor,
         // plus two N3 factor rows, and one relation row.
         let candidates = match mode {
-            LossMode::Full => 0,
-            LossMode::Sampled { negatives } | LossMode::NegSampling { negatives, .. } => {
-                1 + negatives
-            }
+            LossMode::NegSampling { negatives, .. } => 1 + negatives,
+            _ => 0,
         };
         let touches = triples.len() * (2 * (candidates + 1) + 2);
         self.entity.reset(emb.num_entities(), emb.dim(), touches);
@@ -524,31 +566,6 @@ impl Shard {
                 vecops::axpy(-1.0, emb.entity.row(target as usize), &mut self.g_q);
                 loss
             }
-            LossMode::Sampled { negatives } => {
-                self.candidates.clear();
-                self.candidates.push(target);
-                for _ in 0..negatives {
-                    let mut c = rng.next_below(num_entities) as u32;
-                    if c == target {
-                        c = (c + 1) % num_entities as u32;
-                    }
-                    self.candidates.push(c);
-                }
-                self.scores.resize(self.candidates.len(), 0.0);
-                for slot in 0..self.candidates.len() {
-                    let c = self.candidates[slot] as usize;
-                    self.scores[slot] = vecops::dot(&self.q, emb.entity.row(c));
-                }
-                let loss = log_loss_and_residual(&mut self.scores, 0);
-                // self.scores now holds resid = softmax − onehot.
-                for slot in 0..self.candidates.len() {
-                    let c = self.candidates[slot] as usize;
-                    let resid = self.scores[slot];
-                    vecops::axpy(resid, emb.entity.row(c), &mut self.g_q);
-                    vecops::axpy(resid, &self.q, self.entity.row_mut(c as u32));
-                }
-                loss
-            }
             LossMode::NegSampling {
                 negatives,
                 gamma,
@@ -557,8 +574,7 @@ impl Shard {
             } => {
                 // Slot 0 is the positive; the filtered negative block
                 // corrupts the side being predicted (tail unless this
-                // is the transposed/head-prediction direction) — the
-                // same math as the sequential `train_side` arm.
+                // is the transposed/head-prediction direction).
                 self.candidates.clear();
                 self.candidates.push(target);
                 self.candidates.resize(1 + negatives, 0);
@@ -587,6 +603,9 @@ impl Shard {
                     vecops::axpy(resid, &self.q, self.entity.row_mut(c as u32));
                 }
                 loss
+            }
+            LossMode::Sampled { .. } => {
+                unreachable!("train_minibatch_parallel rejects LossMode::Sampled")
             }
         };
 
@@ -674,11 +693,11 @@ struct ReduceScratch {
 }
 
 /// Reusable per-shard accumulators for [`train_minibatch_parallel`] —
-/// one set per trainer, sized lazily (the data-parallel analogue of
+/// one set per trainer, sized lazily (the sharded step's analogue of
 /// [`crate::block::BlockScratch`]).
 #[derive(Default)]
 pub struct GradShards {
-    /// Shard buffers: every shard of a sparse-mode batch, or the window
+    /// Shard buffers: every shard of a neg-sampling batch, or the window
     /// one [`LossMode::Full`] super-step accumulates into.
     shards: Vec<UnsafeCell<Shard>>,
     /// One scratch per reduce task: entity ranges, then relation ranges.
@@ -957,15 +976,21 @@ fn reduce_range(
     }
 }
 
-/// One data-parallel pass over a minibatch: shard gradients on the
-/// pool, then a second dispatch that reduces and applies them by row
-/// range. Returns the mean per-side loss.
+/// One data-parallel pass over a minibatch under [`LossMode::Full`] or
+/// [`LossMode::NegSampling`]: shard gradients on the pool, then a
+/// second dispatch that reduces and applies them by row range. Returns
+/// the mean per-side loss.
 ///
 /// Bit-identical for every pool size — see the module docs for the
 /// argument. N3 regularisation (`n3_lambda > 0`) is folded into the
 /// batch gradient. `neg` supplies the filtered-negative context for
 /// [`LossMode::NegSampling`]; `None` falls back to target-excluded
 /// uniform sampling.
+///
+/// # Panics
+///
+/// Under [`LossMode::Sampled`], which trains on
+/// [`crate::block::train_minibatch`].
 #[allow(clippy::too_many_arguments)]
 pub fn train_minibatch_parallel(
     model: &BlockModel,
@@ -980,23 +1005,29 @@ pub fn train_minibatch_parallel(
     pool: &ThreadPool,
     state: &mut GradShards,
 ) -> f32 {
+    // Full-softmax shards are dense, so only a bounded window of them
+    // is live at once and the batch runs as super-steps over that
+    // window; sparse shards all stay live. `window` fixes the reduction
+    // shape. Both are machine-independent constants, keeping the shape
+    // a pure function of the batch length.
+    let window = match mode {
+        LossMode::Full => FULL_LIVE_SHARDS,
+        LossMode::NegSampling { .. } => NEG_WINDOW_SHARDS,
+        LossMode::Sampled { .. } => panic!(
+            "train_minibatch_parallel trains LossMode::Full and LossMode::NegSampling; \
+             LossMode::Sampled trains on train_minibatch"
+        ),
+    };
     if batch.is_empty() {
         return 0.0;
     }
     let dim = emb.dim();
     let num_shards = batch.len().div_ceil(SHARD_TRIPLES);
     let _step = eras_obs::span!("train.step", triples = batch.len(), shards = num_shards);
-    // Full-softmax shards are dense, so only a bounded window of them
-    // is live at once and the batch runs as super-steps over that
-    // window; sparse shards all stay live. `window` fixes the reduction
-    // shape. Both are machine-independent constants, keeping the shape
-    // a pure function of the batch length.
-    let (live, window) = match mode {
-        LossMode::Full => (FULL_LIVE_SHARDS, FULL_LIVE_SHARDS),
-        LossMode::Sampled { .. } => (num_shards, num_shards),
-        LossMode::NegSampling { .. } => (num_shards, NEG_WINDOW_SHARDS),
+    let live = match mode {
+        LossMode::Full => FULL_LIVE_SHARDS.min(num_shards),
+        _ => num_shards,
     };
-    let live = live.min(num_shards);
     let (num_entities, num_relations) = (emb.num_entities(), emb.num_relations());
     let (ent_per, ent_ranges) = range_split(num_entities);
     let (rel_per, rel_ranges) = range_split(num_relations);
@@ -1193,7 +1224,6 @@ mod tests {
     }
 
     const FULL: LossMode = LossMode::Full;
-    const SAMPLED: LossMode = LossMode::Sampled { negatives: 8 };
     const NEG_UNIFORM: LossMode = LossMode::NegSampling {
         negatives: 4,
         gamma: 6.0,
@@ -1273,16 +1303,14 @@ mod tests {
             &planted(100),
             40,
             10,
-            &[FULL, SAMPLED, NEG_UNIFORM, NEG_BERNOULLI],
+            &[FULL, NEG_UNIFORM, NEG_BERNOULLI],
             &[
                 12107767735115302002,
-                7978711869441149581,
                 15642582198556770205,
                 15236889486692239453,
             ],
             &[
                 13408359156766372616,
-                7751933415929036377,
                 1588856563078862782,
                 12466119588395299643,
             ],
@@ -1300,16 +1328,14 @@ mod tests {
             &planted(300),
             40,
             3,
-            &[FULL, SAMPLED, NEG_UNIFORM, NEG_BERNOULLI],
+            &[FULL, NEG_UNIFORM, NEG_BERNOULLI],
             &[
                 15199976370169404798,
-                8041856382118033873,
                 10894619073778243375,
                 10152131419250626473,
             ],
             &[
                 2878230957445943059,
-                887650642115106125,
                 4522471306089379934,
                 10152131419250626473,
             ],
@@ -1326,17 +1352,9 @@ mod tests {
             &spread(1024, 50_000),
             50_000,
             2,
-            &[SAMPLED, NEG_UNIFORM, NEG_BERNOULLI],
-            &[
-                18337039122137573491,
-                10103468872417430728,
-                9333753245579857504,
-            ],
-            &[
-                17078912267032544040,
-                10101299106289858510,
-                9333753245579857504,
-            ],
+            &[NEG_UNIFORM, NEG_BERNOULLI],
+            &[10103468872417430728, 9333753245579857504],
+            &[10101299106289858510, 9333753245579857504],
         );
     }
 
@@ -1412,33 +1430,27 @@ mod tests {
     }
 
     #[test]
-    fn sampled_mode_learns() {
-        let pool = ThreadPool::new(3);
+    #[should_panic(expected = "LossMode::Sampled trains on train_minibatch")]
+    fn sampled_mode_is_rejected() {
+        let pool = ThreadPool::new(1);
         let mut rng = Rng::seed_from_u64(11);
         let mut emb = Embeddings::init(40, 3, 16, &mut rng);
         let model = BlockModel::universal(zoo::simple(), 3);
-        let data = planted(60);
-        let before = evaluate_loss(&model, &emb, &data);
         let mut opt_e = Adagrad::new(emb.entity.as_slice().len(), 0.2, 0.0);
         let mut opt_r = Adagrad::new(emb.relation.as_slice().len(), 0.2, 0.0);
-        let mut state = GradShards::new();
-        for _ in 0..60 {
-            train_minibatch_parallel(
-                &model,
-                &mut emb,
-                &mut opt_e,
-                &mut opt_r,
-                &data,
-                LossMode::Sampled { negatives: 8 },
-                None,
-                0.0,
-                &mut rng,
-                &pool,
-                &mut state,
-            );
-        }
-        let after = evaluate_loss(&model, &emb, &data);
-        assert!(after < before, "loss {before} -> {after}");
+        train_minibatch_parallel(
+            &model,
+            &mut emb,
+            &mut opt_e,
+            &mut opt_r,
+            &planted(60),
+            LossMode::Sampled { negatives: 8 },
+            None,
+            0.0,
+            &mut rng,
+            &pool,
+            &mut GradShards::new(),
+        );
     }
 
     #[test]

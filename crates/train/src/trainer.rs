@@ -5,9 +5,12 @@
 //! [`train_standalone`] packages that protocol: epochs of shuffled
 //! minibatches,
 //! periodic filtered-MRR validation, and early stopping on a patience
-//! window.
+//! window. The loss mode picks the minibatch step: the sequential
+//! [`train_minibatch`] under [`LossMode::Sampled`], the sharded
+//! [`train_minibatch_parallel`] under [`LossMode::Full`] and
+//! [`LossMode::NegSampling`].
 
-use crate::block::{train_minibatch, BlockModel, BlockScratch};
+use crate::block::{apply_n3, train_minibatch, BlockModel, BlockScratch};
 use crate::checkpoint::{config_fingerprint, TrainCheckpoint};
 use crate::embeddings::Embeddings;
 use crate::eval::{link_prediction, LinkPredictionMetrics, RankingMode};
@@ -21,25 +24,6 @@ use eras_linalg::pool::ThreadPool;
 use eras_linalg::Rng;
 use eras_sf::numeric::NormBounds;
 use std::path::PathBuf;
-
-/// How a training run spends the thread pool on each minibatch.
-///
-/// Either way the run is deterministic given the seed; the two modes
-/// differ in *which* deterministic sequence of updates they produce
-/// (the data-parallel step applies the optimizer once per batch, the
-/// sequential step once per example side), so a given `(seed, mode)`
-/// pair is reproducible but the modes are not bit-comparable to each
-/// other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Execution {
-    /// The classic per-example loop of [`train_minibatch`].
-    #[default]
-    Sequential,
-    /// Sharded snapshot gradients on the thread pool with a fixed
-    /// reduction tree — see [`crate::parallel`]. Bit-identical for
-    /// every pool size.
-    DataParallel,
-}
 
 /// Hyperparameters of a stand-alone training run.
 #[derive(Debug, Clone)]
@@ -75,9 +59,6 @@ pub struct TrainConfig {
     pub ranking: RankingMode,
     /// RNG seed for init, shuffling and negative sampling.
     pub seed: u64,
-    /// Minibatch execution strategy (evaluation always runs on the
-    /// pool; results there are pool-size independent).
-    pub execution: Execution,
     /// Declared per-coordinate embedding-magnitude bounds: the numeric
     /// contract the static certifier (`eras_sf::numeric::certify`)
     /// interprets candidate structures under. A declaration, not an
@@ -101,7 +82,6 @@ impl Default for TrainConfig {
             loss: LossMode::sampled_default(),
             ranking: RankingMode::Full,
             seed: 0,
-            execution: Execution::Sequential,
             bounds: NormBounds::default(),
         }
     }
@@ -141,7 +121,8 @@ pub struct TrainOutcome {
 
 /// Train `model` stand-alone on `dataset` and evaluate it, using the
 /// process-wide [`ThreadPool::global`] for evaluation and (under
-/// [`Execution::DataParallel`]) for the minibatch gradients.
+/// [`LossMode::Full`] and [`LossMode::NegSampling`]) for the minibatch
+/// gradients.
 pub fn train_standalone(
     model: &BlockModel,
     dataset: &Dataset,
@@ -187,7 +168,6 @@ pub fn train_standalone_resumable(
         max_epochs = cfg.max_epochs,
         batch_size = cfg.batch_size,
         triples = dataset.train.len(),
-        data_parallel = matches!(cfg.execution, Execution::DataParallel),
     );
     let registry = eras_obs::metrics::global();
     let epochs_counter = registry.counter("train.epochs");
@@ -289,8 +269,8 @@ pub fn train_standalone_resumable(
         let mut loss_sum = 0.0f32;
         let mut batches = 0usize;
         for batch in order.chunks(cfg.batch_size.max(1)) {
-            match cfg.execution {
-                Execution::Sequential => {
+            match cfg.loss {
+                LossMode::Sampled { .. } => {
                     loss_sum += train_minibatch(
                         model,
                         &mut emb,
@@ -303,10 +283,17 @@ pub fn train_standalone_resumable(
                         &mut scratch,
                     );
                     if cfg.n3 > 0.0 {
-                        crate::block::apply_n3(&mut emb, &mut opt_e, &mut opt_r, batch, cfg.n3);
+                        apply_n3(
+                            &mut emb,
+                            &mut opt_e,
+                            &mut opt_r,
+                            batch,
+                            cfg.n3,
+                            &mut scratch,
+                        );
                     }
                 }
-                Execution::DataParallel => {
+                LossMode::Full | LossMode::NegSampling { .. } => {
                     // N3 is folded into the batch gradient here rather
                     // than applied as a separate pass.
                     loss_sum += train_minibatch_parallel(
@@ -474,12 +461,12 @@ mod tests {
     }
 
     #[test]
-    fn data_parallel_training_is_identical_for_every_pool_size() {
-        // Property: with `Execution::DataParallel`, the *entire*
-        // stand-alone protocol — init, shuffling, negative sampling,
-        // minibatch gradients, N3, validation-driven early stopping —
-        // is a pure function of the seed, for both loss modes and any
-        // pool size.
+    fn training_is_identical_for_every_pool_size() {
+        // Property: the *entire* stand-alone protocol — init,
+        // shuffling, negative sampling, minibatch gradients, N3,
+        // validation-driven early stopping — is a pure function of the
+        // seed, for every loss mode (and so both steps) and any pool
+        // size.
         let dataset = Preset::Tiny.build(6);
         let filter = FilterIndex::build(&dataset);
         let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
@@ -505,7 +492,6 @@ mod tests {
                 eval_every: 2,
                 n3: 1e-3,
                 loss,
-                execution: Execution::DataParallel,
                 ..TrainConfig::default()
             };
             let reference = {
@@ -534,26 +520,24 @@ mod tests {
     }
 
     #[test]
-    fn data_parallel_training_learns_on_tiny_preset() {
+    fn full_loss_training_learns_on_tiny_preset() {
         let dataset = Preset::Tiny.build(3);
         let filter = FilterIndex::build(&dataset);
         let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
         let cfg = TrainConfig {
             loss: LossMode::Full,
-            execution: Execution::DataParallel,
             ..fast_cfg()
         };
         let outcome = train_standalone(&model, &dataset, &filter, &cfg);
         assert!(
             outcome.test.mrr > 0.15,
-            "data-parallel run should learn the planted structure, got {}",
+            "full-softmax run should learn the planted structure, got {}",
             outcome.test.mrr
         );
     }
 
     #[test]
     fn n3_gradient_descends_the_cubed_norm() {
-        use crate::block::apply_n3;
         use eras_data::Triple;
         use eras_linalg::optim::Sgd;
         use eras_linalg::Rng;
@@ -566,8 +550,9 @@ mod tests {
         let before = cubed(&emb, 0) + cubed(&emb, 2);
         let mut opt_e = Sgd::new(0.05, 0.0);
         let mut opt_r = Sgd::new(0.05, 0.0);
+        let mut scratch = BlockScratch::new();
         for _ in 0..300 {
-            apply_n3(&mut emb, &mut opt_e, &mut opt_r, &batch, 0.1);
+            apply_n3(&mut emb, &mut opt_e, &mut opt_r, &batch, 0.1, &mut scratch);
         }
         let after = cubed(&emb, 0) + cubed(&emb, 2);
         assert!(
@@ -684,7 +669,6 @@ mod tests {
                 adversarial_temp: 1.0,
                 corruption: Corruption::Bernoulli,
             },
-            execution: Execution::DataParallel,
             ..TrainConfig::default()
         };
         let reference = train_standalone(&model, &dataset, &filter, &cfg);

@@ -11,9 +11,11 @@
 use eras_data::{FilterIndex, Preset};
 use eras_linalg::pool::ThreadPool;
 use eras_sf::zoo;
-use eras_train::trainer::{train_standalone_on, Execution, TrainConfig};
-use eras_train::{BlockModel, LossMode};
+use eras_train::trainer::{train_standalone_on, TrainConfig};
+use eras_train::{BlockModel, Corruption, LossMode};
 
+/// A neg-sampling run, so that the sharded step (shard tasks and the
+/// row-range reduce on the pool) is the one under observation.
 fn fast_cfg() -> TrainConfig {
     TrainConfig {
         dim: 16,
@@ -22,8 +24,12 @@ fn fast_cfg() -> TrainConfig {
         patience: 2,
         batch_size: 128,
         n3: 1e-3,
-        loss: LossMode::Sampled { negatives: 8 },
-        execution: Execution::DataParallel,
+        loss: LossMode::NegSampling {
+            negatives: 8,
+            gamma: 6.0,
+            adversarial_temp: 1.0,
+            corruption: Corruption::Bernoulli,
+        },
         ..TrainConfig::default()
     }
 }
@@ -99,6 +105,12 @@ mod traced {
                     .iter()
                     .any(|r| r.kind == "span" && r.name == "train.epoch"),
                 "expected train.epoch spans in the trace"
+            );
+            assert!(
+                records
+                    .iter()
+                    .any(|r| r.kind == "span" && r.name == "train.step"),
+                "expected the sharded step's train.step spans in the trace"
             );
             assert!(
                 records

@@ -1,14 +1,18 @@
-//! A data-parallel training step allocates nothing once warm: its shard,
-//! index and reduce buffers are sized by the first batches and reused.
+//! Both training steps allocate nothing once warm. The sharded step's
+//! shard, index and reduce buffers, and the sequential step's
+//! [`BlockScratch`] (which `apply_n3` shares), are sized by the first
+//! batches and reused.
 //!
 //! This binary installs a counting global allocator, so it holds this
-//! one test. Allocations are counted per thread, and the step runs on a
-//! worker-less pool, which executes every task on the calling thread.
+//! one test. Allocations are counted per thread, and the sharded step
+//! runs on a worker-less pool, which executes every task on the calling
+//! thread.
 
 use eras_data::{FilterIndex, Triple};
 use eras_linalg::pool::ThreadPool;
 use eras_linalg::{Adagrad, Rng};
 use eras_sf::zoo;
+use eras_train::block::{apply_n3, train_minibatch, BlockScratch};
 use eras_train::parallel::{train_minibatch_parallel, GradShards};
 use eras_train::{BlockModel, Corruption, Embeddings, LossMode, NegCtx};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -55,6 +59,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations made by six `step`s after two warm-up steps.
+fn allocations_when_warm(mut step: impl FnMut() -> f32) -> u64 {
+    for _ in 0..2 {
+        step();
+    }
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..6 {
+        assert!(step().is_finite());
+    }
+    ALLOCATIONS.with(Cell::get) - before
+}
+
 #[test]
 fn warm_steps_allocate_nothing() {
     let entities = 500;
@@ -72,10 +88,10 @@ fn warm_steps_allocate_nothing() {
         adversarial_temp: 1.0,
         corruption,
     };
-    // 300 triples are ten shards: two Full-mode super-steps.
+    // The sharded step. 300 triples are ten shards: two Full-mode
+    // super-steps.
     for (mode, ctx) in [
         (LossMode::Full, None),
-        (LossMode::Sampled { negatives: 8 }, None),
         (neg(Corruption::Uniform), Some(&uniform)),
         (neg(Corruption::Bernoulli), Some(&bernoulli)),
     ] {
@@ -85,7 +101,7 @@ fn warm_steps_allocate_nothing() {
             let mut opt_e = Adagrad::new(emb.entity.as_slice().len(), 0.1, 1e-4);
             let mut opt_r = Adagrad::new(emb.relation.as_slice().len(), 0.1, 1e-4);
             let mut shards = GradShards::new();
-            let mut step = |rng: &mut Rng| {
+            let allocated = allocations_when_warm(|| {
                 train_minibatch_parallel(
                     &model,
                     &mut emb,
@@ -95,20 +111,39 @@ fn warm_steps_allocate_nothing() {
                     mode,
                     ctx,
                     n3,
-                    rng,
+                    &mut rng,
                     &pool,
                     &mut shards,
                 )
-            };
-            for _ in 0..2 {
-                step(&mut rng);
-            }
-            let before = ALLOCATIONS.with(Cell::get);
-            for _ in 0..6 {
-                assert!(step(&mut rng).is_finite());
-            }
-            let allocated = ALLOCATIONS.with(Cell::get) - before;
+            });
             assert_eq!(allocated, 0, "{mode:?} (n3 {n3}) allocated after warm-up");
         }
+    }
+    // The sequential step, followed by N3 when it is on.
+    let mode = LossMode::Sampled { negatives: 8 };
+    for n3 in [0.0, 1e-3] {
+        let mut rng = Rng::seed_from_u64(5);
+        let mut emb = Embeddings::init(entities, 3, 16, &mut rng);
+        let mut opt_e = Adagrad::new(emb.entity.as_slice().len(), 0.1, 1e-4);
+        let mut opt_r = Adagrad::new(emb.relation.as_slice().len(), 0.1, 1e-4);
+        let mut scratch = BlockScratch::new();
+        let allocated = allocations_when_warm(|| {
+            let loss = train_minibatch(
+                &model,
+                &mut emb,
+                &mut opt_e,
+                &mut opt_r,
+                &data,
+                mode,
+                None,
+                &mut rng,
+                &mut scratch,
+            );
+            if n3 > 0.0 {
+                apply_n3(&mut emb, &mut opt_e, &mut opt_r, &data, n3, &mut scratch);
+            }
+            loss
+        });
+        assert_eq!(allocated, 0, "{mode:?} (n3 {n3}) allocated after warm-up");
     }
 }
