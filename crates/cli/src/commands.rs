@@ -192,7 +192,24 @@ fn ranking_mode(args: &Args, flag: &str) -> Result<RankingMode, String> {
     })
 }
 
+/// Training flags that were removed, with what replaced each. `Args`
+/// keeps any `--flag`, so a removed one would otherwise be ignored
+/// without a word and train something other than what was asked for.
+const REMOVED_TRAIN_FLAGS: [(&str, &str); 2] = [
+    ("full-loss", "use `--loss full`"),
+    (
+        "parallel",
+        "the loss now picks the training step (`--loss full` and `--loss neg` \
+         train on the sharded step, `--loss sampled` on the sequential one)",
+    ),
+];
+
 fn train_config(args: &Args) -> Result<TrainConfig, String> {
+    for (flag, instead) in REMOVED_TRAIN_FLAGS {
+        if args.has(flag) {
+            return Err(format!("--{flag} was removed: {instead}"));
+        }
+    }
     Ok(TrainConfig {
         dim: args.get_or("dim", 32usize)?,
         lr: args.get_or("lr", 0.1f32)?,

@@ -158,6 +158,35 @@ fn zero_ranking_candidates_is_an_error_not_a_panic() {
     }
 }
 
+/// A removed training flag must fail and name its replacement: the
+/// parser keeps any `--flag`, so ignoring it would train the default
+/// loss and report its MRR as if the flag had applied.
+#[test]
+fn removed_training_flags_are_errors_naming_the_replacement() {
+    for command in ["train", "search"] {
+        for (flag, replacement) in [
+            ("full-loss", "use `--loss full`"),
+            ("parallel", "the loss now picks the training step"),
+        ] {
+            let out = eras()
+                .args([command, "--preset", "tiny", "--dim", "8", "--epochs", "1"])
+                .arg(format!("--{flag}"))
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} --{flag}: {stderr}");
+            assert!(
+                stderr.contains(&format!("--{flag} was removed: {replacement}")),
+                "{command} --{flag}: {stderr}"
+            );
+            assert!(
+                String::from_utf8_lossy(&out.stdout).is_empty(),
+                "{command} --{flag} must fail before training"
+            );
+        }
+    }
+}
+
 #[test]
 fn rules_command_mines_rules() {
     let out = eras()

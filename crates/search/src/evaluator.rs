@@ -257,8 +257,11 @@ impl<'a> StandaloneEvaluator<'a> {
         if !missing.is_empty() {
             // Train misses concurrently. A stand-alone run's outcome is
             // a pure function of its config, so an MRR never depends on
-            // the batch or the pool. Each task publishes straight into
-            // the lock-free cache.
+            // the batch or the pool. Under a full or neg-sampling loss
+            // each task runs the sharded step inline with its own shard
+            // buffers (docs/performance.md, "Concurrent candidate
+            // evaluation"). Each task publishes straight into the
+            // lock-free cache.
             let inner_cfg = &self.cfg;
             let dataset = self.dataset;
             let filter = self.filter;

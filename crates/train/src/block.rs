@@ -36,8 +36,8 @@
 //! The loss mode picks the step. [`train_minibatch`] is the sequential
 //! step of [`LossMode::Sampled`], the objective of the search loops,
 //! which train many models at a time on the pool. [`LossMode::Full`] and
-//! [`LossMode::NegSampling`] train one model that has the pool to
-//! itself, on the sharded step in [`crate::parallel`].
+//! [`LossMode::NegSampling`] train on the sharded step in
+//! [`crate::parallel`], which wins when one model trains on the pool.
 
 use crate::embeddings::Embeddings;
 use crate::eval::{CandidateSet, ScoreModel};

@@ -1,10 +1,15 @@
 //! Deterministic data-parallel minibatch training.
 //!
 //! [`train_minibatch_parallel`] is the step of [`LossMode::Full`] and
-//! [`LossMode::NegSampling`]: each trains one model that has the whole
-//! pool to itself. ([`LossMode::Sampled`], the objective of the search
-//! loops, trains many models at a time on the pool, each on the
-//! sequential [`crate::block::train_minibatch`].) Interleaving gradient
+//! [`LossMode::NegSampling`]. It wins when one model trains on the
+//! pool. ([`LossMode::Sampled`], the objective of the search loops,
+//! trains many models at a time on the pool, each on the sequential
+//! [`crate::block::train_minibatch`]: running those on this step raised
+//! the benchmark's search peak RSS.) A stand-alone search under `Full`
+//! or `NegSampling` also trains its candidates here, each in one pool
+//! task where this step's dispatches run inline; docs/performance.md
+//! ("Concurrent candidate evaluation") records that this costs memory
+//! under `Full`, and time under `NegSampling`. Interleaving gradient
 //! computation with optimizer application per example would serialise
 //! on the optimizer state and, under [`LossMode::Full`], pay an Adagrad
 //! sweep over *every* entity row per side. This step restructures the
