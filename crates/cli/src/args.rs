@@ -1,11 +1,11 @@
 //! Minimal `--key value` / `--key=value` argument parsing.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed `--key value` pairs.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
-    values: HashMap<String, String>,
+    values: BTreeMap<String, String>,
 }
 
 impl Args {
@@ -14,7 +14,7 @@ impl Args {
     // audit:allow(E701): tokens[i] is guarded by the loop condition and
     // tokens[i + 1] by the next_is_value get() probe just above it
     pub fn parse(tokens: &[String]) -> Result<Args, String> {
-        let mut values = HashMap::new();
+        let mut values = BTreeMap::new();
         let mut i = 0;
         while i < tokens.len() {
             let tok = &tokens[i];
@@ -74,6 +74,26 @@ impl Args {
     pub fn has(&self, key: &str) -> bool {
         self.values.contains_key(key)
     }
+
+    /// Reject any flag that is not in `accepted` (a list of flag-name
+    /// groups) with an error naming it and `command`, so a misspelt
+    /// flag fails instead of being ignored.
+    pub fn expect_only(&self, command: &str, accepted: &[&[&str]]) -> Result<(), String> {
+        let unknown: Vec<String> = self
+            .values
+            .keys()
+            .filter(|k| !accepted.iter().any(|group| group.contains(&k.as_str())))
+            .map(|k| format!("--{k}"))
+            .collect();
+        match unknown.len() {
+            0 => Ok(()),
+            n => Err(format!(
+                "unknown flag{} {} for `{command}` (see `eras help`)",
+                if n == 1 { "" } else { "s" },
+                unknown.join(", ")
+            )),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -123,6 +143,25 @@ mod tests {
     fn require_reports_missing() {
         let a = Args::parse(&toks(&[])).unwrap();
         assert!(a.require("preset").is_err());
+    }
+
+    #[test]
+    fn expect_only_names_every_unknown_flag_and_the_command() {
+        let a = Args::parse(&toks(&["--preset", "tiny", "--epoch", "2", "--quick"])).unwrap();
+        assert!(a
+            .expect_only("eras x", &[&["preset", "epoch", "quick"]])
+            .is_ok());
+        assert!(a
+            .expect_only("eras x", &[&["preset"], &["epoch", "quick"]])
+            .is_ok());
+        assert_eq!(
+            a.expect_only("eras train", &[&["preset", "epochs"]]),
+            Err("unknown flags --epoch, --quick for `eras train` (see `eras help`)".into())
+        );
+        assert_eq!(
+            a.expect_only("eras train", &[&["preset", "quick"]]),
+            Err("unknown flag --epoch for `eras train` (see `eras help`)".into())
+        );
     }
 
     #[test]

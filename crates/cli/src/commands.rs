@@ -192,10 +192,28 @@ fn ranking_mode(args: &Args, flag: &str) -> Result<RankingMode, String> {
     })
 }
 
-/// Training flags that were removed, with what replaced each. `Args`
-/// keeps any `--flag`, so a removed one would otherwise be ignored
-/// without a word and train something other than what was asked for.
-const REMOVED_TRAIN_FLAGS: [(&str, &str); 2] = [
+/// Flags of every command that loads a dataset ([`load_dataset`]).
+const DATASET_FLAGS: &[&str] = &["preset", "data", "seed"];
+
+/// Flags [`train_config`] reads.
+const TRAIN_CONFIG_FLAGS: &[&str] = &[
+    "dim",
+    "lr",
+    "epochs",
+    "loss",
+    "negatives",
+    "gamma",
+    "adv-temp",
+    "corruption",
+    "sampled-eval",
+    "eval-seed",
+    "n3",
+    "emb-bound",
+];
+
+/// Training flags that were removed, with what replaced each. They get
+/// this message rather than the unknown-flag one.
+const REMOVED_TRAIN_FLAGS: &[(&str, &str)] = &[
     ("full-loss", "use `--loss full`"),
     (
         "parallel",
@@ -204,12 +222,119 @@ const REMOVED_TRAIN_FLAGS: [(&str, &str); 2] = [
     ),
 ];
 
-fn train_config(args: &Args) -> Result<TrainConfig, String> {
-    for (flag, instead) in REMOVED_TRAIN_FLAGS {
-        if args.has(flag) {
-            return Err(format!("--{flag} was removed: {instead}"));
+/// One `eras` subcommand: its name, the flags it accepts (in groups),
+/// the removed flags it names a replacement for, and its body.
+pub struct Command {
+    pub name: &'static str,
+    flags: &'static [&'static [&'static str]],
+    removed: &'static [(&'static str, &'static str)],
+    body: fn(&Args) -> Result<(), String>,
+}
+
+impl Command {
+    /// Check the flags, then run. A removed or unknown flag fails
+    /// before any work, naming the flag and the command.
+    pub fn run(&self, args: &Args) -> Result<(), String> {
+        for (flag, instead) in self.removed {
+            if args.has(flag) {
+                return Err(format!("--{flag} was removed: {instead}"));
+            }
         }
+        args.expect_only(&format!("eras {}", self.name), self.flags)?;
+        (self.body)(args)
     }
+}
+
+/// Every subcommand but `obs`, which takes a bare subcommand token.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "stats",
+        flags: &[DATASET_FLAGS],
+        removed: &[],
+        body: stats,
+    },
+    Command {
+        name: "generate",
+        flags: &[DATASET_FLAGS, &["out"]],
+        removed: &[],
+        body: generate,
+    },
+    Command {
+        name: "train",
+        flags: &[
+            DATASET_FLAGS,
+            TRAIN_CONFIG_FLAGS,
+            &[
+                "model",
+                "threads",
+                "save",
+                "snapshot",
+                "checkpoint",
+                "checkpoint-every",
+                "resume",
+                "quiet",
+                "log",
+                "profile",
+            ],
+        ],
+        removed: REMOVED_TRAIN_FLAGS,
+        body: train,
+    },
+    Command {
+        name: "search",
+        flags: &[
+            DATASET_FLAGS,
+            TRAIN_CONFIG_FLAGS,
+            &["method", "groups", "evaluations"],
+        ],
+        removed: REMOVED_TRAIN_FLAGS,
+        body: search,
+    },
+    Command {
+        name: "eval",
+        flags: &[
+            DATASET_FLAGS,
+            &["embeddings", "model", "sampled", "eval-seed"],
+        ],
+        removed: &[],
+        body: evaluate,
+    },
+    Command {
+        name: "rules",
+        flags: &[DATASET_FLAGS],
+        removed: &[],
+        body: rules,
+    },
+    Command {
+        name: "audit",
+        flags: &[&[
+            "pass",
+            "format",
+            "deny",
+            "root",
+            "sf-samples",
+            "seed",
+            "chaos-seeds",
+            "chaos-budget",
+        ]],
+        removed: &[],
+        body: audit,
+    },
+    Command {
+        name: "serve",
+        flags: &[&["snapshot", "addr", "workers", "cache"]],
+        removed: &[],
+        body: serve,
+    },
+    Command {
+        name: "query",
+        flags: &[&["snapshot", "head", "tail", "relation", "k", "unfiltered"]],
+        removed: &[],
+        body: query,
+    },
+];
+
+fn train_config(args: &Args) -> Result<TrainConfig, String> {
     Ok(TrainConfig {
         dim: args.get_or("dim", 32usize)?,
         lr: args.get_or("lr", 0.1f32)?,
@@ -267,9 +392,10 @@ pub fn train(args: &Args) -> Result<(), String> {
     // `--checkpoint FILE` saves the complete training state every
     // `--checkpoint-every N` epochs (atomic write); `--resume` continues
     // a crashed run from the file bit-identically.
+    let every = args.get_or("checkpoint-every", 10usize)?;
     let ckpt = args.get("checkpoint").map(|path| CheckpointSpec {
         path: Path::new(path).to_path_buf(),
-        every: args.get_or("checkpoint-every", 10usize).unwrap_or(10),
+        every,
         resume: args.has("resume"),
     });
     if args.has("resume") && ckpt.is_none() {
@@ -616,6 +742,7 @@ pub fn obs(rest: &[String]) -> Result<(), String> {
     match sub.as_str() {
         "report" => {
             let args = Args::parse(rest)?;
+            args.expect_only("eras obs report", &[&["trace", "top"]])?;
             let path = args.require("trace")?;
             let top: usize = args.get_or("top", 10usize)?;
             let report = eras_obs::summary::summarize_file(Path::new(path), top)?;
@@ -623,5 +750,50 @@ pub fn obs(rest: &[String]) -> Result<(), String> {
             Ok(())
         }
         other => Err(format!("unknown obs subcommand `{other}`\n{OBS_USAGE}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--flag` names in `text`.
+    fn flags_in(text: &str) -> Vec<&str> {
+        text.split("--")
+            .skip(1)
+            .map(|t| {
+                t.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .next()
+            })
+            .map(|t| t.unwrap_or_default())
+            .collect()
+    }
+
+    /// Every flag the usage text shows for a command is one the
+    /// command accepts, so the flag lists cannot drift from the help.
+    #[test]
+    fn usage_flags_are_accepted() {
+        let mut command = None;
+        let mut checked = 0;
+        for line in USAGE.lines() {
+            if let Some(rest) = line.strip_prefix("  eras ") {
+                let name = rest.split_whitespace().next().unwrap_or_default();
+                command = COMMANDS.iter().find(|c| c.name == name);
+            } else if !line.starts_with("    ") {
+                command = None;
+            }
+            let Some(command) = command else { continue };
+            let args = Args::parse(
+                &flags_in(line)
+                    .iter()
+                    .map(|f| format!("--{f}"))
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
+            let named = format!("eras {}", command.name);
+            assert_eq!(args.expect_only(&named, command.flags), Ok(()), "{line}");
+            checked += flags_in(line).len();
+        }
+        assert!(checked > 40, "only {checked} usage flags found");
     }
 }

@@ -48,20 +48,14 @@ fn main() -> ExitCode {
         }
     };
     let result = match command.as_str() {
-        "stats" => commands::stats(&parsed),
-        "generate" => commands::generate(&parsed),
-        "train" => commands::train(&parsed),
-        "search" => commands::search(&parsed),
-        "eval" => commands::evaluate(&parsed),
-        "rules" => commands::rules(&parsed),
-        "audit" => commands::audit(&parsed),
-        "serve" => commands::serve(&parsed),
-        "query" => commands::query(&parsed),
         "help" | "--help" | "-h" => {
             println!("{}", commands::USAGE);
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        name => match commands::COMMANDS.iter().find(|c| c.name == name) {
+            Some(command) => command.run(&parsed),
+            None => Err(format!("unknown command `{name}`")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

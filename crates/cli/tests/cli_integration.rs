@@ -139,9 +139,17 @@ fn generate_then_train_from_tsv_roundtrip() {
 /// never a panic (exit 101) — and `train` before any training runs.
 #[test]
 fn zero_ranking_candidates_is_an_error_not_a_panic() {
-    for (command, flag) in [("eval", "--sampled"), ("train", "--sampled-eval")] {
+    for (command, flag, rest) in [
+        ("eval", "--sampled", &[][..]),
+        (
+            "train",
+            "--sampled-eval",
+            &["--dim", "8", "--epochs", "1"][..],
+        ),
+    ] {
         let out = eras()
-            .args([command, "--preset", "tiny", "--dim", "8", "--epochs", "1"])
+            .args([command, "--preset", "tiny"])
+            .args(rest)
             .args([flag, "0"])
             .output()
             .unwrap();
@@ -185,6 +193,59 @@ fn removed_training_flags_are_errors_naming_the_replacement() {
             );
         }
     }
+}
+
+/// A misspelt or foreign flag fails before any work, naming the flag
+/// and the command: `eras train --epoch 2` used to train the default 40
+/// epochs and exit 0.
+#[test]
+fn unknown_flags_are_errors_naming_the_flag_and_command() {
+    for (args, message) in [
+        (
+            &["train", "--preset", "tiny", "--epoch", "2"][..],
+            "unknown flag --epoch for `eras train`",
+        ),
+        (
+            &["search", "--preset", "tiny", "--threads", "2"][..],
+            "unknown flag --threads for `eras search`",
+        ),
+        (
+            &["stats", "--preset", "tiny", "--out", "x", "--dim", "8"][..],
+            "unknown flags --dim, --out for `eras stats`",
+        ),
+        (
+            &["obs", "report", "--trace", "none.jsonl", "--tpo", "3"][..],
+            "unknown flag --tpo for `eras obs report`",
+        ),
+    ] {
+        let out = eras().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).is_empty(),
+            "{args:?} must fail before any work"
+        );
+    }
+}
+
+/// A malformed `--checkpoint-every` is an error, not the default.
+#[test]
+fn malformed_checkpoint_every_is_an_error() {
+    let dir = std::env::temp_dir().join(format!("eras-ckpt-every-{}", std::process::id()));
+    let out = eras()
+        .args(["train", "--preset", "tiny", "--dim", "8", "--epochs", "1"])
+        .args(["--checkpoint", dir.join("run.ckpt").to_str().unwrap()])
+        .args(["--checkpoint-every", "often", "--quiet"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--checkpoint-every: cannot parse `often`"),
+        "{stderr}"
+    );
+    assert!(!dir.exists(), "no checkpoint may be written");
 }
 
 #[test]

@@ -7,69 +7,119 @@
 //! test — is excluded from the candidate set. [`FilterIndex`] answers those
 //! membership queries.
 //!
-//! Implementation: triples are grouped by a packed `(rel, head)` /
-//! `(rel, tail)` key into sorted adjacency lists and looked up by binary
-//! search — cache-friendly and allocation-free at query time, with no hash
-//! table in the hot ranking loop.
+//! Layout: one compressed sparse row (CSR) table per direction, keyed by
+//! the anchor entity. `start[e]..start[e + 1]` is entity `e`'s run of
+//! distinct `(rel, other)` entries, sorted by `(rel, other)` and stored
+//! as the run's relation ids followed by its other-side entity ids in
+//! one array, so both halves of a short run share a cache line. A probe
+//! is one offset read, a partition over the anchor's few relations and
+//! one slice: no search over the whole key set, no hash table and no
+//! allocation at query time. Each direction holds 8 bytes per distinct
+//! triple (a relation id and an entity id) plus a 4-byte offset per
+//! entity, so the index costs 16 bytes per triple and 8 per entity.
+//! It is built by a counting sort on the anchor entity, then a sort and
+//! de-duplication of each (short) run.
 
 use crate::dataset::{Dataset, Triple};
 
-#[inline]
-fn pack(rel: u32, ent: u32) -> u64 {
-    (u64::from(rel) << 32) | u64::from(ent)
-}
-
-/// Sorted multimap from a packed key to entity lists.
+/// One direction of the index: a per-entity CSR multimap from
+/// `(entity, rel)` to the sorted other-side entities.
 #[derive(Debug, Clone, Default)]
 struct Adjacency {
-    /// Sorted, deduplicated keys.
-    keys: Vec<u64>,
-    /// `ranges[i]` is the slice of `values` belonging to `keys[i]`.
-    ranges: Vec<(u32, u32)>,
-    /// Sorted entity ids per key, concatenated.
-    values: Vec<u32>,
+    /// `start[e]..start[e + 1]` indexes entity `e`'s distinct entries;
+    /// one longer than the largest indexed entity id (empty when no
+    /// triple is indexed).
+    start: Vec<u32>,
+    /// Entity `e`'s run of `n = start[e + 1] − start[e]` entries is
+    /// `runs[2·start[e] .. 2·start[e + 1]]`: `n` relation ids, then the
+    /// `n` matching other-side entity ids, both in `(rel, other)` order.
+    runs: Vec<u32>,
 }
 
 impl Adjacency {
-    // audit:allow(E701): pairs[i] is guarded by both while conditions
-    fn build(mut pairs: Vec<(u64, u32)>) -> Self {
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut keys = Vec::new();
-        let mut ranges = Vec::new();
-        let mut values = Vec::with_capacity(pairs.len());
-        let mut i = 0;
-        while i < pairs.len() {
-            let key = pairs[i].0;
-            let start = values.len() as u32;
-            while i < pairs.len() && pairs[i].0 == key {
-                values.push(pairs[i].1);
-                i += 1;
+    /// Index `(anchor, rel, other)` entries given as `side(t)` for
+    /// every triple `t` of `splits`.
+    ///
+    /// # Panics
+    ///
+    /// When `splits` hold more triples than a `u32` offset can address.
+    // audit:allow(E701): the triple count is checked to fit the u32
+    // offsets first; `start` has one slot per anchor id up to the
+    // largest one counted, and every position written is below the
+    // running count of that anchor's entries
+    fn build(splits: &[&[Triple]], side: impl Fn(Triple) -> (u32, u32, u32)) -> Self {
+        let total: usize = splits.iter().map(|s| s.len()).sum();
+        assert!(
+            u32::try_from(total).is_ok(),
+            "FilterIndex offsets are u32: {total} triples do not fit"
+        );
+        let triples = || splits.iter().flat_map(|s| s.iter().map(|&t| side(t)));
+        let Some(max) = triples().map(|(anchor, _, _)| anchor).max() else {
+            return Adjacency::default();
+        };
+        // Counting sort on the anchor: count, prefix-sum, scatter the
+        // packed `rel << 32 | other` keys.
+        let entities = max as usize + 1;
+        let mut start = vec![0u32; entities + 1];
+        for (anchor, _, _) in triples() {
+            start[anchor as usize + 1] += 1;
+        }
+        for e in 0..entities {
+            start[e + 1] += start[e];
+        }
+        let mut cursor = start[..entities].to_vec();
+        let mut keys = vec![0u64; total];
+        for (anchor, rel, other) in triples() {
+            let at = &mut cursor[anchor as usize];
+            keys[*at as usize] = u64::from(rel) << 32 | u64::from(other);
+            *at += 1;
+        }
+        drop(cursor);
+        // Sort and de-duplicate each anchor's run, closing up the gaps
+        // that duplicates leave; a run never moves past its old start.
+        let mut len = 0;
+        for e in 0..entities {
+            let run = start[e] as usize..start[e + 1] as usize;
+            start[e] = len as u32;
+            keys[run.clone()].sort_unstable();
+            let mut last = None;
+            for i in run {
+                if last != Some(keys[i]) {
+                    last = Some(keys[i]);
+                    keys[len] = keys[i];
+                    len += 1;
+                }
             }
-            keys.push(key);
-            ranges.push((start, values.len() as u32));
         }
-        Adjacency {
-            keys,
-            ranges,
-            values,
+        start[entities] = len as u32;
+        let mut runs = Vec::with_capacity(2 * len);
+        for e in 0..entities {
+            let run = &keys[start[e] as usize..start[e + 1] as usize];
+            runs.extend(run.iter().map(|&k| (k >> 32) as u32));
+            runs.extend(run.iter().map(|&k| k as u32));
         }
+        Adjacency { start, runs }
     }
 
-    // audit:allow(E701): binary_search returns an index into keys, and
-    // ranges/values are built in lockstep with keys at construction
-    fn get(&self, key: u64) -> &[u32] {
-        match self.keys.binary_search(&key) {
-            Ok(i) => {
-                let (s, e) = self.ranges[i];
-                &self.values[s as usize..e as usize]
-            }
-            Err(_) => &[],
-        }
+    /// The sorted other-side entities of `(ent, rel)`; empty for an
+    /// unknown pair or an id past the largest indexed entity.
+    fn get(&self, ent: u32, rel: u32) -> &[u32] {
+        let e = ent as usize;
+        let (Some(&lo), Some(&hi)) = (self.start.get(e), self.start.get(e + 1)) else {
+            return &[];
+        };
+        let Some(run) = self.runs.get(2 * lo as usize..2 * hi as usize) else {
+            return &[];
+        };
+        let (rels, others) = run.split_at(run.len() / 2);
+        let from = rels.partition_point(|&r| r < rel);
+        let to = rels.partition_point(|&r| r <= rel);
+        others.get(from..to).unwrap_or(&[])
     }
 
-    fn contains(&self, key: u64, ent: u32) -> bool {
-        self.get(key).binary_search(&ent).is_ok()
+    /// Distinct entries indexed.
+    fn len(&self) -> usize {
+        self.runs.len() / 2
     }
 }
 
@@ -79,59 +129,53 @@ impl Adjacency {
 pub struct FilterIndex {
     tails_of: Adjacency,
     heads_of: Adjacency,
-    len: usize,
 }
 
 impl FilterIndex {
     /// Build from every split of `dataset` (the standard filtered setting).
     pub fn build(dataset: &Dataset) -> Self {
-        Self::from_triples(dataset.all_triples())
+        Self::from_splits(&[&dataset.train, &dataset.valid, &dataset.test])
     }
 
     /// Build from an explicit triple collection.
     pub fn from_triples(triples: impl Iterator<Item = Triple>) -> Self {
-        let mut fw = Vec::new();
-        let mut bw = Vec::new();
-        for t in triples {
-            fw.push((pack(t.rel, t.head), t.tail));
-            bw.push((pack(t.rel, t.tail), t.head));
-        }
-        let tails_of = Adjacency::build(fw);
-        let heads_of = Adjacency::build(bw);
-        let len = tails_of.values.len();
+        let triples: Vec<Triple> = triples.collect();
+        Self::from_splits(&[&triples])
+    }
+
+    fn from_splits(splits: &[&[Triple]]) -> Self {
         FilterIndex {
-            tails_of,
-            heads_of,
-            len,
+            tails_of: Adjacency::build(splits, |t| (t.head, t.rel, t.tail)),
+            heads_of: Adjacency::build(splits, |t| (t.tail, t.rel, t.head)),
         }
     }
 
     /// All known true tails for `(head, rel, ?)`, sorted.
     #[inline]
     pub fn tails(&self, head: u32, rel: u32) -> &[u32] {
-        self.tails_of.get(pack(rel, head))
+        self.tails_of.get(head, rel)
     }
 
     /// All known true heads for `(?, rel, tail)`, sorted.
     #[inline]
     pub fn heads(&self, tail: u32, rel: u32) -> &[u32] {
-        self.heads_of.get(pack(rel, tail))
+        self.heads_of.get(tail, rel)
     }
 
     /// Is `(head, rel, tail)` a known true triple (any split)?
     #[inline]
     pub fn contains(&self, t: Triple) -> bool {
-        self.tails_of.contains(pack(t.rel, t.head), t.tail)
+        self.tails(t.head, t.rel).binary_search(&t.tail).is_ok()
     }
 
     /// Number of distinct indexed triples.
     pub fn len(&self) -> usize {
-        self.len
+        self.tails_of.len()
     }
 
     /// True when no triples are indexed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 }
 

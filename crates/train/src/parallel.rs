@@ -25,7 +25,12 @@
 //!    (entity/relation tables with touched-row tracking, so
 //!    [`LossMode::NegSampling`] shards stay sparse). No shard writes
 //!    anything another shard reads, and each shard's task empties the
-//!    shard before it starts.
+//!    shard before it starts. A shard makes three passes over its
+//!    triples: it *draws* every side's negative block into a buffer,
+//!    *gathers* every entity row its sides read (one load per cache
+//!    line, so the misses overlap), then *computes* each side from
+//!    rows that are already in cache. [`LossMode::Full`] sides take the
+//!    same passes with empty blocks.
 //! 3. **Fixed-shape reduction, split by row.** A second pool dispatch
 //!    cuts the entity and relation tables into fixed row ranges
 //!    (`REDUCE_RANGES` per table). Each range task gathers its rows from
@@ -380,6 +385,26 @@ fn sides_for(mode: LossMode, neg: Option<&NegCtx>, t: Triple, rng: &mut Rng) -> 
     }
 }
 
+/// Floats per 64-byte cache line.
+const LINE_FLOATS: usize = 64 / std::mem::size_of::<f32>();
+
+/// Read every 64-byte line of entity row `r` for each `r` in `rows`,
+/// folded into [`std::hint::black_box`] so the loads stay. The loads
+/// are independent, so their cache misses overlap here instead of
+/// stalling the compute pass one side at a time.
+fn gather(emb: &Embeddings, rows: &[u32]) {
+    let mut fold = 0u32;
+    for &r in rows {
+        let row = emb.entity.row(r as usize);
+        // A row that starts mid-line ends in a line that stepping from
+        // its start skips; its last float reads that line.
+        for x in row.iter().step_by(LINE_FLOATS).chain(row.last()) {
+            fold ^= x.to_bits();
+        }
+    }
+    std::hint::black_box(fold);
+}
+
 /// One shard's gradient of `triples` at `emb`, as dense row-major
 /// entity and relation tables: the kernels of
 /// [`train_minibatch_parallel`] without the reduce and the optimizer,
@@ -411,7 +436,12 @@ struct Shard {
     q: Vec<f32>,
     g_q: Vec<f32>,
     scores: Vec<f32>,
-    candidates: Vec<u32>,
+    /// Each triple's `(tail_side, head_side)` draw, in batch order.
+    plan: Vec<(bool, bool)>,
+    /// The entity rows of every trained side, in side order: its
+    /// anchor, then its candidates — the target, then its negative
+    /// block (empty under [`LossMode::Full`]).
+    rows: Vec<u32>,
     /// Deferred `LossMode::Full` outer products: side `s` stores its
     /// residual row `p_s` (one scalar per entity) and query `q_s` here,
     /// and [`Shard::flush_full`] materialises `G += Σ_s p_s ⊗ q_s` in
@@ -427,6 +457,11 @@ impl Shard {
     /// Accumulate exact gradients for `triples` against the snapshot
     /// `emb`: both prediction directions of every triple (one, under
     /// Bernoulli corruption), plus N3 when `n3_lambda > 0`.
+    ///
+    /// Three passes over the shard's triples: *draw* every side's
+    /// negative block (the RNG stream in the order a side-at-a-time
+    /// loop consumes it), *gather* every entity row the shard reads so
+    /// their cache misses overlap, then *compute* each side.
     #[allow(clippy::too_many_arguments)]
     fn accumulate(
         &mut self,
@@ -438,15 +473,17 @@ impl Shard {
         n3_lambda: f32,
         rng: &mut Rng,
     ) {
-        // The previous batch's reduce is over: empty the shard here, on
-        // the task that fills it. A triple touches, per side, its
-        // candidate rows (dense instead under `Full`) and its anchor,
-        // plus two N3 factor rows, and one relation row.
-        let candidates = match mode {
-            LossMode::NegSampling { negatives, .. } => 1 + negatives,
+        // A side reads `stride` entity rows: its anchor, its target and
+        // its negative block.
+        let stride = 2 + match mode {
+            LossMode::NegSampling { negatives, .. } => negatives,
             _ => 0,
         };
-        let touches = triples.len() * (2 * (candidates + 1) + 2);
+        // The previous batch's reduce is over: empty the shard here, on
+        // the task that fills it. A triple touches, per side, those rows
+        // (every row instead under `Full`), plus two N3 factor rows, and
+        // one relation row.
+        let touches = triples.len() * (2 * stride + 2);
         self.entity.reset(emb.num_entities(), emb.dim(), touches);
         self.relation
             .reset(emb.num_relations(), emb.dim(), triples.len());
@@ -461,15 +498,51 @@ impl Shard {
             self.q_rows.resize(sides * emb.dim(), 0.0);
             self.n_sides = 0;
         }
+        self.plan.clear();
+        self.plan.reserve(triples.len());
+        self.rows.clear();
+        self.rows.reserve(2 * triples.len() * stride);
+
+        // Draw: each triple's sides, then each side's filtered negative
+        // block, which corrupts the side being predicted.
         for &t in triples {
             let (tail_side, head_side) = sides_for(mode, neg, t, rng);
-            if tail_side {
-                self.loss += self.side(model, emb, false, t.head, t.rel, t.tail, mode, neg, rng);
-                self.sides += 1;
+            self.plan.push((tail_side, head_side));
+            for (on, tail, anchor, target) in [
+                (tail_side, true, t.head, t.tail),
+                (head_side, false, t.tail, t.head),
+            ] {
+                if !on {
+                    continue;
+                }
+                let at = self.rows.len();
+                self.rows.extend([anchor, target]);
+                self.rows.resize(at + stride, 0);
+                sample_neg_block(
+                    anchor,
+                    t.rel,
+                    target,
+                    tail,
+                    emb.num_entities(),
+                    neg.map(|n| n.filter),
+                    rng,
+                    &mut self.rows[at + 2..],
+                );
             }
-            if head_side {
-                self.loss += self.side(model, emb, true, t.tail, t.rel, t.head, mode, neg, rng);
-                self.sides += 1;
+        }
+
+        gather(emb, &self.rows);
+
+        // Compute: each side from its rows, then the triple's N3 term.
+        let mut at = 0;
+        for (i, &t) in triples.iter().enumerate() {
+            let (tail_side, head_side) = self.plan[i];
+            for (transposed, on) in [(false, tail_side), (true, head_side)] {
+                if on {
+                    self.loss += self.side(model, emb, transposed, t.rel, at..at + stride, mode);
+                    self.sides += 1;
+                    at += stride;
+                }
             }
             if n3_lambda > 0.0 {
                 self.accumulate_n3(emb, t, n3_lambda);
@@ -482,21 +555,20 @@ impl Shard {
         self.relation.bucket();
     }
 
-    /// One 1-vs-all direction: residuals into candidate entity rows,
-    /// chain rule through `q` into the anchor and relation rows.
-    #[allow(clippy::too_many_arguments)]
+    /// One 1-vs-all direction over the side's entity rows
+    /// `self.rows[side]` (anchor, target, negative block): residuals
+    /// into candidate entity rows, chain rule through `q` into the
+    /// anchor and relation rows.
     fn side(
         &mut self,
         model: &BlockModel,
         emb: &Embeddings,
         transposed: bool,
-        anchor: u32,
         rel: u32,
-        target: u32,
+        side: Range<usize>,
         mode: LossMode,
-        neg: Option<&NegCtx>,
-        rng: &mut Rng,
     ) -> f32 {
+        let (anchor, target) = (self.rows[side.start], self.rows[side.start + 1]);
         let dim = emb.dim();
         let num_entities = emb.num_entities();
         let sf = if transposed {
@@ -572,37 +644,22 @@ impl Shard {
                 loss
             }
             LossMode::NegSampling {
-                negatives,
                 gamma,
                 adversarial_temp,
                 ..
             } => {
-                // Slot 0 is the positive; the filtered negative block
-                // corrupts the side being predicted (tail unless this
-                // is the transposed/head-prediction direction).
-                self.candidates.clear();
-                self.candidates.push(target);
-                self.candidates.resize(1 + negatives, 0);
-                sample_neg_block(
-                    anchor,
-                    rel,
-                    target,
-                    !transposed,
-                    num_entities,
-                    neg.map(|n| n.filter),
-                    rng,
-                    &mut self.candidates[1..],
-                );
-                self.scores.resize(self.candidates.len(), 0.0);
-                for slot in 0..self.candidates.len() {
-                    let c = self.candidates[slot] as usize;
+                // Slot 0 is the positive, then the negative block.
+                let candidates = &self.rows[side.start + 1..side.end];
+                self.scores.resize(candidates.len(), 0.0);
+                for slot in 0..candidates.len() {
+                    let c = candidates[slot] as usize;
                     self.scores[slot] = vecops::dot(&self.q, emb.entity.row(c));
                 }
                 let loss =
                     neg_sampling_loss_and_residual(&mut self.scores, gamma, adversarial_temp);
                 // self.scores now holds the per-candidate ∂L/∂s.
-                for slot in 0..self.candidates.len() {
-                    let c = self.candidates[slot] as usize;
+                for slot in 0..candidates.len() {
+                    let c = candidates[slot] as usize;
                     let resid = self.scores[slot];
                     vecops::axpy(resid, emb.entity.row(c), &mut self.g_q);
                     vecops::axpy(resid, &self.q, self.entity.row_mut(c as u32));

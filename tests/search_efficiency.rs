@@ -15,6 +15,7 @@ fn one_shot_search_is_much_faster_than_standalone() {
     let filter = FilterIndex::build(&dataset);
 
     // Stand-alone: 10 random candidates, each trained for 8 epochs.
+    let evaluations = 10;
     let train_cfg = TrainConfig {
         dim: 16,
         max_epochs: 8,
@@ -22,22 +23,6 @@ fn one_shot_search_is_much_faster_than_standalone() {
         patience: 1,
         ..TrainConfig::default()
     };
-    let started = Instant::now();
-    let standalone = random::search(
-        &dataset,
-        &filter,
-        &train_cfg,
-        4,
-        8,
-        1,
-        SearchBudget {
-            max_evaluations: 10,
-            max_seconds: f64::INFINITY,
-        },
-    );
-    let standalone_secs = started.elapsed().as_secs_f64();
-    assert_eq!(standalone.evaluations, 10);
-
     // One-shot: ERAS evaluates 10 epochs × 2 updates × 4 samples = 80
     // candidate rewards against ONE shared embedding set.
     let cfg = ErasConfig {
@@ -48,14 +33,37 @@ fn one_shot_search_is_much_faster_than_standalone() {
         derive_screen: 1,
         ..ErasConfig::fast()
     };
-    let outcome = run_eras(&dataset, &filter, &cfg, Variant::Full);
+
+    // Each side's time is the fastest of three runs, the sides taken in
+    // turn, so that a burst of host load during one run cannot decide
+    // the comparison.
+    let (mut standalone_secs, mut one_shot_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let started = Instant::now();
+        let standalone = random::search(
+            &dataset,
+            &filter,
+            &train_cfg,
+            4,
+            8,
+            1,
+            SearchBudget {
+                max_evaluations: evaluations,
+                max_seconds: f64::INFINITY,
+            },
+        );
+        standalone_secs = standalone_secs.min(started.elapsed().as_secs_f64());
+        assert_eq!(standalone.evaluations, evaluations);
+        let outcome = run_eras(&dataset, &filter, &cfg, Variant::Full);
+        one_shot_secs = one_shot_secs.min(outcome.search_secs);
+    }
 
     // The supernet phase must finish under the stand-alone search
     // despite evaluating 8x the candidates.
     assert!(
-        outcome.search_secs < standalone_secs,
+        one_shot_secs < standalone_secs,
         "one-shot search {:.2}s should be under stand-alone {:.2}s",
-        outcome.search_secs,
+        one_shot_secs,
         standalone_secs
     );
 
@@ -65,8 +73,8 @@ fn one_shot_search_is_much_faster_than_standalone() {
     // the stand-alone denominator as well.
     let one_shot_evals = (cfg.epochs * cfg.ctrl_updates_per_epoch * cfg.u_samples) as f64;
     assert!(one_shot_evals >= 10.0);
-    let per_one_shot = outcome.search_secs / one_shot_evals;
-    let per_standalone = standalone_secs / standalone.evaluations as f64;
+    let per_one_shot = one_shot_secs / one_shot_evals;
+    let per_standalone = standalone_secs / evaluations as f64;
     assert!(
         per_one_shot * 3.0 < per_standalone,
         "one-shot {:.3}s/candidate should be well under stand-alone {:.3}s/candidate",
