@@ -9,13 +9,13 @@ use eras_linalg::cmp::{nan_last_desc_f64, nan_lowest_f64};
 use eras_linalg::optim::Adagrad;
 use eras_linalg::pool::ThreadPool;
 use eras_linalg::Rng;
+use eras_obs::clock::Stopwatch;
 use eras_search::SearchTrace;
 use eras_sf::BlockSf;
 use eras_train::block::{train_minibatch, BlockScratch};
 use eras_train::eval::{link_prediction, LinkPredictionMetrics};
-use eras_train::trainer::train_standalone;
+use eras_train::trainer::{run_span, TrainRun};
 use eras_train::{BlockModel, Embeddings, RankingMode};
-use std::time::Instant;
 
 /// Everything produced by one ERAS run.
 #[derive(Debug, Clone)]
@@ -74,7 +74,7 @@ pub fn run_eras(
     cfg.validate().expect("invalid ErasConfig");
     let supernet = Supernet::new(cfg.m, cfg.n_groups);
     let mut rng = Rng::seed_from_u64(cfg.seed);
-    let started = Instant::now();
+    let started = Stopwatch::start();
 
     // --- Initialise ω, B, θ ----------------------------------------------
     let mut emb = Embeddings::init(
@@ -95,123 +95,153 @@ pub fn run_eras(
     let mut train_order: Vec<Triple> = dataset.train.clone();
 
     // --- Search: alternative minimisation --------------------------------
-    for epoch in 0..cfg.epochs {
-        // Step 2–3: stochastic shared-embedding updates; each minibatch is
-        // scored by a freshly sampled architecture (ENAS-style estimator
-        // of Eq. 9).
-        rng.shuffle(&mut train_order);
-        for batch in train_order.chunks(cfg.batch_size.max(1)) {
-            // Eq. 9 averages the embedding gradient over U sampled
-            // architectures; emb_samples = 1 is the cheap single-sample
-            // estimator, larger values replay the batch per sample.
-            for _ in 0..cfg.emb_samples.max(1) {
-                let sfs = arch_updater.sample_for_training(&policy, &mut rng);
-                let model = BlockModel::relation_aware(sfs, assignment.clone());
-                train_minibatch(
-                    &model,
-                    &mut emb,
-                    &mut opt_e,
-                    &mut opt_r,
-                    batch,
-                    cfg.search_loss,
-                    None,
-                    &mut rng,
-                    &mut scratch,
-                );
+    {
+        let _search_span = eras_obs::span!("core.search", epochs = cfg.epochs);
+        for epoch in 0..cfg.epochs {
+            // Step 2–3: stochastic shared-embedding updates; each minibatch is
+            // scored by a freshly sampled architecture (ENAS-style estimator
+            // of Eq. 9).
+            rng.shuffle(&mut train_order);
+            for batch in train_order.chunks(cfg.batch_size.max(1)) {
+                // Eq. 9 averages the embedding gradient over U sampled
+                // architectures; emb_samples = 1 is the cheap single-sample
+                // estimator, larger values replay the batch per sample.
+                for _ in 0..cfg.emb_samples.max(1) {
+                    let sfs = arch_updater.sample_for_training(&policy, &mut rng);
+                    let model = BlockModel::relation_aware(sfs, assignment.clone());
+                    train_minibatch(
+                        &model,
+                        &mut emb,
+                        &mut opt_e,
+                        &mut opt_r,
+                        batch,
+                        cfg.search_loss,
+                        None,
+                        &mut rng,
+                        &mut scratch,
+                    );
+                }
             }
-        }
 
-        // Step 4: EM re-grouping on the learned relation embeddings.
-        if variant.dynamic_grouping() && cfg.n_groups > 1 && (epoch + 1) % cfg.em_every == 0 {
-            assignment = em_assignment(&emb, cfg.n_groups, &mut rng);
-        }
+            // Step 4: EM re-grouping on the learned relation embeddings.
+            if variant.dynamic_grouping() && cfg.n_groups > 1 && (epoch + 1) % cfg.em_every == 0 {
+                assignment = em_assignment(&emb, cfg.n_groups, &mut rng);
+            }
 
-        // Steps 5–6: architecture updates on validation minibatches.
-        let mut best_reward = f64::NEG_INFINITY;
-        for _ in 0..cfg.ctrl_updates_per_epoch.max(1) {
-            let reward = arch_updater.update(
-                &mut policy,
-                &mut reinforce,
-                &assignment,
-                &emb,
-                dataset,
-                filter,
-                cfg,
-                &mut rng,
-            );
-            best_reward = best_reward.max(reward);
+            // Steps 5–6: architecture updates on validation minibatches.
+            let mut best_reward = f64::NEG_INFINITY;
+            for _ in 0..cfg.ctrl_updates_per_epoch.max(1) {
+                let reward = arch_updater.update(
+                    &mut policy,
+                    &mut reinforce,
+                    &assignment,
+                    &emb,
+                    dataset,
+                    filter,
+                    cfg,
+                    &mut rng,
+                );
+                best_reward = best_reward.max(reward);
+            }
+            trace.record(started.elapsed_secs(), best_reward);
         }
-        trace.record(started.elapsed().as_secs_f64(), best_reward);
     }
-    let search_secs = started.elapsed().as_secs_f64();
+    let search_secs = started.elapsed_secs();
 
     // --- Derive the final architecture (steps 8–11) ----------------------
-    let derive_started = Instant::now();
-    let derive_batch = sample_val_batch(&dataset.valid, 256, &mut rng);
-    let mut candidates: Vec<Vec<BlockSf>> = (0..cfg.derive_k)
-        .map(|_| arch_updater.sample_for_derivation(&policy, &mut rng))
-        .collect();
-    candidates.push(supernet.decode(&policy.greedy_decode(supernet.num_slots())));
-    candidates.extend(arch_updater.archive().cloned());
-    let mut best: Option<(Vec<BlockSf>, f64)> = None;
-    let mut scored_candidates: Vec<(Vec<BlockSf>, f64)> = Vec::with_capacity(candidates.len());
-    for sfs in candidates {
-        let reward =
-            supernet.one_shot_reward(sfs.clone(), &assignment, &emb, &derive_batch, filter);
-        if best.as_ref().map(|(_, b)| reward > *b).unwrap_or(true) {
-            best = Some((sfs.clone(), reward));
+    let evaluation = Stopwatch::start();
+    let shortlist: Vec<Vec<BlockSf>> = {
+        let _derive_span = eras_obs::span!("core.derive", k = cfg.derive_k);
+        let derive_batch = sample_val_batch(&dataset.valid, 256, &mut rng);
+        let mut candidates: Vec<Vec<BlockSf>> = (0..cfg.derive_k)
+            .map(|_| arch_updater.sample_for_derivation(&policy, &mut rng))
+            .collect();
+        candidates.push(supernet.decode(&policy.greedy_decode(supernet.num_slots())));
+        candidates.extend(arch_updater.archive().cloned());
+        let mut best: Option<(Vec<BlockSf>, f64)> = None;
+        let mut scored: Vec<(Vec<BlockSf>, f64)> = Vec::with_capacity(candidates.len());
+        for sfs in candidates {
+            let reward =
+                supernet.one_shot_reward(sfs.clone(), &assignment, &emb, &derive_batch, filter);
+            if best.as_ref().map(|(_, b)| reward > *b).unwrap_or(true) {
+                best = Some((sfs.clone(), reward));
+            }
+            scored.push((sfs, reward));
         }
-        scored_candidates.push((sfs, reward));
-    }
-    let (fallback_sfs, best_reward) = best.expect("derive_k >= 1");
-    let best_sfs = if best_reward <= 0.0 {
-        // Degenerate controller (can happen in tiny ablation budgets):
-        // fall back to a random constraint-satisfying architecture.
-        supernet.random_architecture(2 * cfg.m, &mut rng)
-    } else if cfg.derive_screen > 1 {
-        // Short stand-alone screening of the top one-shot candidates.
-        // One-shot rewards rank architectures well but not perfectly
-        // (Figure 5a), and the argmax of a noisy ranking suffers the
-        // winner's curse; a brief real training run of the short-list is
-        // what Table IX accounts as the "evaluation" phase.
-        let mut scored: Vec<(Vec<BlockSf>, f64)> = scored_candidates;
-        scored.sort_by(|a, b| nan_last_desc_f64(a.1, b.1));
-        scored.truncate(cfg.derive_screen);
-        let screen_cfg = eras_train::trainer::TrainConfig {
-            max_epochs: (cfg.retrain.max_epochs / 3).max(3),
-            ..cfg.retrain.clone()
-        };
-        scored
-            .into_iter()
-            .map(|(sfs, _)| {
-                let model = BlockModel::relation_aware(sfs.clone(), assignment.clone());
-                let mrr = train_standalone(&model, dataset, filter, &screen_cfg)
-                    .best_valid
-                    .mrr;
-                (sfs, mrr)
-            })
-            .max_by(|a, b| nan_lowest_f64(a.1, b.1))
-            .map(|(sfs, _)| sfs)
-            .unwrap_or(fallback_sfs)
-    } else {
-        fallback_sfs
+        let (fallback_sfs, best_reward) = best.expect("derive_k >= 1");
+        if best_reward <= 0.0 {
+            // Degenerate controller (can happen in tiny ablation budgets):
+            // fall back to a random constraint-satisfying architecture.
+            vec![supernet.random_architecture(2 * cfg.m, &mut rng)]
+        } else if cfg.derive_screen > 1 {
+            // Short-list the top one-shot candidates for a stand-alone
+            // screen. One-shot rewards rank architectures well but not
+            // perfectly (Figure 5a), and the argmax of a noisy ranking
+            // suffers the winner's curse.
+            scored.sort_by(|a, b| nan_last_desc_f64(a.1, b.1));
+            scored.truncate(cfg.derive_screen);
+            scored.into_iter().map(|(sfs, _)| sfs).collect()
+        } else {
+            vec![fallback_sfs]
+        }
     };
+    // The supernet's state is spent; free it before the short-list's
+    // runs allocate theirs.
+    drop((emb, opt_e, opt_r, scratch, train_order));
 
-    // --- Retrain stand-alone (step 12) ------------------------------------
-    let model = BlockModel::relation_aware(best_sfs.clone(), assignment.clone());
-    let outcome = train_standalone(&model, dataset, filter, &cfg.retrain);
+    // --- Screen the short-list, retrain the winner (step 12) --------------
+    // Every short-listed candidate starts the retrain's own run and
+    // advances it to the screen budget, concurrently; a brief real
+    // training run is what Table IX accounts as the "evaluation" phase.
+    // The screen is a prefix of the retrain (same seed, model and data;
+    // evaluations draw no randomness), so the winner continues its run
+    // instead of retraining from scratch, and the losers are dropped
+    // without a test evaluation. With one candidate the "screen" is just
+    // the retrain's first epochs.
+    let pool = ThreadPool::global();
+    let models: Vec<BlockModel> = shortlist
+        .iter()
+        .map(|sfs| BlockModel::relation_aware(sfs.clone(), assignment.clone()))
+        .collect();
+    let screen_epochs = cfg.screen_epochs();
+    let (winner, mut run) = {
+        let _screen_span = eras_obs::span!(
+            "core.screen",
+            candidates = models.len(),
+            epochs = screen_epochs,
+        );
+        // Each task's evaluations and sharded steps run inline on its
+        // thread, so the runs are bit-identical for every pool size.
+        pool.map(models.len(), |k| {
+            let _run_span = run_span(&cfg.retrain, dataset);
+            let mut run = TrainRun::start(&models[k], dataset, filter, &cfg.retrain);
+            run.advance(screen_epochs, pool);
+            run
+        })
+        .into_iter()
+        .enumerate()
+        // Fixed short-list order; the last of equal MRRs wins.
+        .max_by(|a, b| nan_lowest_f64(a.1.best_valid().mrr, b.1.best_valid().mrr))
+        .expect("the short-list is never empty")
+    };
+    let outcome = {
+        let _retrain_span = eras_obs::span!("core.retrain", epochs = cfg.retrain.max_epochs);
+        run.advance(cfg.retrain.max_epochs, pool);
+        run.finish(pool)
+    };
+    let model = models[winner].clone();
     let valid_metrics = link_prediction(
         &model,
         &outcome.embeddings,
         &dataset.valid,
         filter,
         RankingMode::Full,
-        ThreadPool::global(),
+        pool,
     );
-    let evaluation_secs = derive_started.elapsed().as_secs_f64();
+    let evaluation_secs = evaluation.elapsed_secs();
 
     ErasOutcome {
-        sfs: best_sfs,
+        sfs: shortlist[winner].clone(),
         assignment,
         model,
         embeddings: outcome.embeddings,
@@ -251,6 +281,57 @@ mod tests {
         );
         assert!(outcome.search_secs > 0.0);
         assert!(outcome.evaluation_secs > 0.0);
+    }
+
+    /// The screen is a prefix of the retrain: the continued winner equals
+    /// a from-scratch `train_standalone` of the derived structures in
+    /// every field, also when patience stops the runs inside the screen.
+    /// The pinned test-MRR bits hold for every `ERAS_THREADS` (CI runs
+    /// the suite at 1 and 4), so the concurrent screen is pool-size
+    /// invariant.
+    #[test]
+    fn continued_winner_equals_a_fresh_retrain() {
+        use eras_train::trainer::{train_standalone, TrainConfig};
+        let dataset = Preset::Tiny.build(11);
+        let filter = FilterIndex::build(&dataset);
+        let patient = ErasConfig {
+            retrain: TrainConfig {
+                eval_every: 1,
+                patience: 1,
+                lr: 1e-30,
+                ..ErasConfig::fast().retrain
+            },
+            ..ErasConfig::fast()
+        };
+        for (cfg, mrr_bits) in [
+            (ErasConfig::fast(), 0x3fc1_dbc7_d555_4ffd_u64),
+            (patient, 0x3fa2_c410_e511_34cf),
+        ] {
+            let outcome = run_eras(&dataset, &filter, &cfg, Variant::Full);
+            let reference = train_standalone(&outcome.model, &dataset, &filter, &cfg.retrain);
+            assert_eq!(
+                outcome.embeddings.entity.as_slice(),
+                reference.embeddings.entity.as_slice()
+            );
+            assert_eq!(
+                outcome.embeddings.relation.as_slice(),
+                reference.embeddings.relation.as_slice()
+            );
+            assert_eq!(outcome.test, reference.test);
+            if cfg.retrain.patience == 1 {
+                assert!(
+                    reference.epochs_run < cfg.screen_epochs(),
+                    "patience must stop the winner inside the screen, ran {}",
+                    reference.epochs_run
+                );
+            }
+            assert_eq!(
+                outcome.test.mrr.to_bits(),
+                mrr_bits,
+                "test MRR {} moved",
+                outcome.test.mrr
+            );
+        }
     }
 
     #[test]

@@ -292,6 +292,12 @@ impl ErasConfig {
         }
     }
 
+    /// Epochs each short-listed candidate trains before the winner is
+    /// picked: a third of the retrain budget, at least 3.
+    pub fn screen_epochs(&self) -> usize {
+        (self.retrain.max_epochs / 3).max(3)
+    }
+
     /// Structured validation: every internal-consistency check as a
     /// [`ConfigDiagnostic`] with a stable code, severity, and field path.
     /// An empty result means the configuration is clean; [`Self::validate`]

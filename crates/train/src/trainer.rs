@@ -9,6 +9,12 @@
 //! [`train_minibatch`] under [`LossMode::Sampled`], the sharded
 //! [`train_minibatch_parallel`] under [`LossMode::Full`] and
 //! [`LossMode::NegSampling`].
+//!
+//! The epoch loop lives in [`TrainRun`], a run that stops after any
+//! epoch and continues later bit-identically; the `train_standalone*`
+//! functions start one, advance it to `max_epochs` (saving checkpoints
+//! on the way if asked) and finish it. ERAS advances its short-listed
+//! candidates to a screen budget and continues only the winner.
 
 use crate::block::{apply_n3, train_minibatch, BlockModel, BlockScratch};
 use crate::checkpoint::{config_fingerprint, TrainCheckpoint};
@@ -23,7 +29,7 @@ use eras_linalg::optim::{Adagrad, Optimizer};
 use eras_linalg::pool::ThreadPool;
 use eras_linalg::Rng;
 use eras_sf::numeric::NormBounds;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Hyperparameters of a stand-alone training run.
 #[derive(Debug, Clone)]
@@ -143,8 +149,10 @@ pub fn train_standalone_on(
     cfg: &TrainConfig,
     pool: &ThreadPool,
 ) -> TrainOutcome {
-    train_standalone_resumable(model, dataset, filter, cfg, pool, None)
-        .expect("training without a checkpoint spec performs no I/O") // audit:allow(W402): statically infallible — the None branch never touches a file
+    let _run_span = run_span(cfg, dataset);
+    let mut run = TrainRun::start(model, dataset, filter, cfg);
+    run.advance(cfg.max_epochs, pool);
+    run.finish(pool)
 }
 
 /// [`train_standalone_on`] with optional checkpointing: with a
@@ -162,241 +170,360 @@ pub fn train_standalone_resumable(
     pool: &ThreadPool,
     spec: Option<&CheckpointSpec>,
 ) -> Result<TrainOutcome, IoError> {
-    let _run_span = eras_obs::span!(
+    let Some(spec) = spec else {
+        return Ok(train_standalone_on(model, dataset, filter, cfg, pool));
+    };
+    let _run_span = run_span(cfg, dataset);
+    let mut run = if spec.resume {
+        TrainRun::resume(model, dataset, filter, cfg, &spec.path)?
+    } else {
+        TrainRun::start(model, dataset, filter, cfg)
+    };
+    // Advance from save point to save point. A run that stopped early
+    // is never saved, so no checkpoint records a run that already
+    // decided to stop.
+    while !run.stopped() && run.epochs_run() < cfg.max_epochs {
+        if spec.every == 0 {
+            run.advance(cfg.max_epochs, pool);
+            break;
+        }
+        run.advance((run.epochs_run() / spec.every + 1) * spec.every, pool);
+        if !run.stopped() && run.epochs_run().is_multiple_of(spec.every) {
+            run.save(&spec.path)?;
+        }
+    }
+    Ok(run.finish(pool))
+}
+
+/// Opens the `train.run` span: one model trained from its start. A run
+/// continued after its first [`TrainRun::advance`] leg keeps its later
+/// legs under the caller's span (ERAS's `core.retrain`), so the span
+/// count is the number of models trained.
+pub fn run_span(cfg: &TrainConfig, dataset: &Dataset) -> eras_obs::trace::SpanGuard {
+    eras_obs::span!(
         "train.run",
         dim = cfg.dim,
         max_epochs = cfg.max_epochs,
         batch_size = cfg.batch_size,
         triples = dataset.train.len(),
-    );
-    let registry = eras_obs::metrics::global();
-    let epochs_counter = registry.counter("train.epochs");
-    let batches_counter = registry.counter("train.batches");
-    let evals_counter = registry.counter("train.evals");
-    let neg_batches_counter = registry.counter("train.neg_batches");
-    let neg_samples_counter = registry.counter("train.neg_samples");
+    )
+}
 
-    // Filtered-negative context for the neg-sampling objective: the
-    // train-split filter is shared, and Bernoulli corruption fits its
-    // per-relation tail probabilities once per run.
-    let neg_ctx = match cfg.loss {
-        LossMode::NegSampling {
-            corruption: Corruption::Bernoulli,
-            ..
-        } => Some(NegCtx::bernoulli(
-            filter,
-            &dataset.train,
+/// One stand-alone training run that can be stopped after any epoch and
+/// continued: [`TrainRun::start`] (or [`TrainRun::resume`] from a
+/// checkpoint), [`TrainRun::advance`] to an epoch, and
+/// [`TrainRun::finish`] with the test evaluation. The epoch sequence
+/// depends only on the seed and the config, never on where the legs
+/// end, so a run advanced in several legs equals one advanced in one
+/// leg bit for bit. The run owns all of its mutable state (embeddings,
+/// Adagrad accumulators, RNG, training order, step scratch), so several
+/// runs can advance concurrently on one pool.
+pub struct TrainRun<'a> {
+    model: &'a BlockModel,
+    dataset: &'a Dataset,
+    filter: &'a FilterIndex,
+    cfg: &'a TrainConfig,
+    /// Filtered-negative context of the neg-sampling objective.
+    neg: Option<NegCtx<'a>>,
+    /// Exact negative draws per training triple (0 unless neg-sampling).
+    neg_per_triple: usize,
+    rng: Rng,
+    emb: Embeddings,
+    opt_e: Adagrad,
+    opt_r: Adagrad,
+    scratch: BlockScratch,
+    shards: GradShards,
+    order: Vec<Triple>,
+    best_valid: LinkPredictionMetrics,
+    strikes: usize,
+    epochs_run: usize,
+    final_loss: f32,
+    stopped: bool,
+}
+
+impl<'a> TrainRun<'a> {
+    /// A fresh run: seeded initial embeddings, zero Adagrad state, epoch 0.
+    pub fn start(
+        model: &'a BlockModel,
+        dataset: &'a Dataset,
+        filter: &'a FilterIndex,
+        cfg: &'a TrainConfig,
+    ) -> Self {
+        // Filtered-negative context for the neg-sampling objective: the
+        // train-split filter is shared, and Bernoulli corruption fits its
+        // per-relation tail probabilities once per run.
+        let (neg, neg_per_triple) = match cfg.loss {
+            LossMode::NegSampling {
+                negatives,
+                corruption: Corruption::Bernoulli,
+                ..
+            } => (
+                Some(NegCtx::bernoulli(
+                    filter,
+                    &dataset.train,
+                    dataset.num_relations(),
+                )),
+                negatives,
+            ),
+            // Every other corruption draws for both sides.
+            LossMode::NegSampling { negatives, .. } => {
+                (Some(NegCtx::uniform(filter)), 2 * negatives)
+            }
+            _ => (None, 0),
+        };
+        let mut rng = Rng::seed_from_u64(cfg.seed);
+        let emb = Embeddings::init(
+            dataset.num_entities(),
             dataset.num_relations(),
-        )),
-        LossMode::NegSampling { .. } => Some(NegCtx::uniform(filter)),
-        _ => None,
-    };
-    let neg = neg_ctx.as_ref();
-    // Exact per-batch negative-draw count: Bernoulli corrupts one side
-    // per triple, every other corruption both.
-    let neg_per_triple = match cfg.loss {
-        LossMode::NegSampling {
-            negatives,
-            corruption,
-            ..
-        } => match corruption {
-            Corruption::Bernoulli => negatives,
-            Corruption::Uniform => 2 * negatives,
-        },
-        _ => 0,
-    };
-
-    let fingerprint = config_fingerprint(
-        cfg,
-        dataset.num_entities(),
-        dataset.num_relations(),
-        dataset.train.len(),
-    );
-
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut emb = Embeddings::init(
-        dataset.num_entities(),
-        dataset.num_relations(),
-        cfg.dim,
-        &mut rng,
-    );
-    let mut opt_e = Adagrad::new(emb.entity.as_slice().len(), cfg.lr, cfg.l2);
-    let mut opt_r = Adagrad::new(emb.relation.as_slice().len(), cfg.lr, cfg.l2);
-    let mut scratch = BlockScratch::new();
-    let mut shards = GradShards::new();
-    let mut order: Vec<Triple> = dataset.train.clone();
-
-    let mut best_valid = LinkPredictionMetrics::default();
-    let mut strikes = 0usize;
-    let mut epochs_run = 0usize;
-    let mut final_loss = 0.0f32;
-    let mut start_epoch = 1usize;
-
-    if let Some(spec) = spec.filter(|s| s.resume) {
-        match TrainCheckpoint::load(&spec.path) {
-            Ok(ck) if ck.fingerprint == fingerprint => {
-                rng = Rng::from_state(ck.rng_state);
-                emb = ck.embeddings;
-                opt_e = Adagrad::from_accumulator(ck.lr_entity, cfg.l2, ck.ent_accum);
-                opt_r = Adagrad::from_accumulator(ck.lr_relation, cfg.l2, ck.rel_accum);
-                order = ck.order;
-                best_valid = ck.best_valid;
-                strikes = ck.strikes;
-                final_loss = ck.final_loss;
-                epochs_run = ck.epoch;
-                start_epoch = ck.epoch + 1;
-                eras_obs::event!("train.resumed", epoch = ck.epoch);
-            }
-            Ok(ck) => {
-                return Err(IoError::Format(format!(
-                    "checkpoint {} was written by a different run \
-                     (fingerprint {:#018x}, this run {:#018x})",
-                    spec.path.display(),
-                    ck.fingerprint,
-                    fingerprint
-                )));
-            }
-            // Missing, torn, or unreadable checkpoint: start fresh.
-            // The from-scratch run walks the same deterministic path,
-            // so the outcome is still bit-identical, only slower.
-            Err(_) => {}
+            cfg.dim,
+            &mut rng,
+        );
+        TrainRun {
+            model,
+            dataset,
+            filter,
+            cfg,
+            neg,
+            neg_per_triple,
+            opt_e: Adagrad::new(emb.entity.as_slice().len(), cfg.lr, cfg.l2),
+            opt_r: Adagrad::new(emb.relation.as_slice().len(), cfg.lr, cfg.l2),
+            rng,
+            emb,
+            scratch: BlockScratch::new(),
+            shards: GradShards::new(),
+            order: dataset.train.clone(),
+            best_valid: LinkPredictionMetrics::default(),
+            strikes: 0,
+            epochs_run: 0,
+            final_loss: 0.0,
+            stopped: false,
         }
     }
 
-    for epoch in start_epoch..=cfg.max_epochs {
-        let _epoch_span = eras_obs::span!("train.epoch", epoch = epoch);
-        rng.shuffle(&mut order);
-        let mut loss_sum = 0.0f32;
-        let mut batches = 0usize;
-        for batch in order.chunks(cfg.batch_size.max(1)) {
-            match cfg.loss {
-                LossMode::Sampled { .. } => {
-                    loss_sum += train_minibatch(
-                        model,
-                        &mut emb,
-                        &mut opt_e,
-                        &mut opt_r,
-                        batch,
-                        cfg.loss,
-                        neg,
-                        &mut rng,
-                        &mut scratch,
-                    );
-                    if cfg.n3 > 0.0 {
-                        apply_n3(
-                            &mut emb,
-                            &mut opt_e,
-                            &mut opt_r,
+    /// The run saved at `path` by [`TrainRun::save`]. A missing, torn,
+    /// or unreadable file starts fresh — the from-scratch run walks the
+    /// same deterministic path, so the outcome is still bit-identical,
+    /// only slower — while a checkpoint from a *different*
+    /// configuration is an error.
+    pub fn resume(
+        model: &'a BlockModel,
+        dataset: &'a Dataset,
+        filter: &'a FilterIndex,
+        cfg: &'a TrainConfig,
+        path: &Path,
+    ) -> Result<Self, IoError> {
+        let mut run = TrainRun::start(model, dataset, filter, cfg);
+        match TrainCheckpoint::load(path) {
+            Ok(ck) if ck.fingerprint == run.fingerprint() => {
+                run.rng = Rng::from_state(ck.rng_state);
+                run.emb = ck.embeddings;
+                run.opt_e = Adagrad::from_accumulator(ck.lr_entity, cfg.l2, ck.ent_accum);
+                run.opt_r = Adagrad::from_accumulator(ck.lr_relation, cfg.l2, ck.rel_accum);
+                run.order = ck.order;
+                run.best_valid = ck.best_valid;
+                run.strikes = ck.strikes;
+                run.final_loss = ck.final_loss;
+                run.epochs_run = ck.epoch;
+                eras_obs::event!("train.resumed", epoch = ck.epoch);
+                Ok(run)
+            }
+            Ok(ck) => Err(IoError::Format(format!(
+                "checkpoint {} was written by a different run \
+                 (fingerprint {:#018x}, this run {:#018x})",
+                path.display(),
+                ck.fingerprint,
+                run.fingerprint()
+            ))),
+            Err(_) => Ok(run),
+        }
+    }
+
+    /// Run epochs until `until` (capped at `cfg.max_epochs`) have
+    /// completed, validating every `cfg.eval_every` epochs and stopping
+    /// for good once `cfg.patience` validations in a row fail to improve.
+    /// A no-op on a stopped run or one already past `until`.
+    pub fn advance(&mut self, until: usize, pool: &ThreadPool) {
+        let cfg = self.cfg;
+        let registry = eras_obs::metrics::global();
+        let epochs_counter = registry.counter("train.epochs");
+        let batches_counter = registry.counter("train.batches");
+        let evals_counter = registry.counter("train.evals");
+        let neg_batches_counter = registry.counter("train.neg_batches");
+        let neg_samples_counter = registry.counter("train.neg_samples");
+        let neg = self.neg.as_ref();
+
+        while !self.stopped && self.epochs_run < until.min(cfg.max_epochs) {
+            let epoch = self.epochs_run + 1;
+            let _epoch_span = eras_obs::span!("train.epoch", epoch = epoch);
+            self.rng.shuffle(&mut self.order);
+            let mut loss_sum = 0.0f32;
+            let mut batches = 0usize;
+            for batch in self.order.chunks(cfg.batch_size.max(1)) {
+                match cfg.loss {
+                    LossMode::Sampled { .. } => {
+                        loss_sum += train_minibatch(
+                            self.model,
+                            &mut self.emb,
+                            &mut self.opt_e,
+                            &mut self.opt_r,
                             batch,
+                            cfg.loss,
+                            neg,
+                            &mut self.rng,
+                            &mut self.scratch,
+                        );
+                        if cfg.n3 > 0.0 {
+                            apply_n3(
+                                &mut self.emb,
+                                &mut self.opt_e,
+                                &mut self.opt_r,
+                                batch,
+                                cfg.n3,
+                                &mut self.scratch,
+                            );
+                        }
+                    }
+                    LossMode::Full | LossMode::NegSampling { .. } => {
+                        // N3 is folded into the batch gradient here rather
+                        // than applied as a separate pass.
+                        loss_sum += train_minibatch_parallel(
+                            self.model,
+                            &mut self.emb,
+                            &mut self.opt_e,
+                            &mut self.opt_r,
+                            batch,
+                            cfg.loss,
+                            neg,
                             cfg.n3,
-                            &mut scratch,
+                            &mut self.rng,
+                            pool,
+                            &mut self.shards,
                         );
                     }
                 }
-                LossMode::Full | LossMode::NegSampling { .. } => {
-                    // N3 is folded into the batch gradient here rather
-                    // than applied as a separate pass.
-                    loss_sum += train_minibatch_parallel(
-                        model,
-                        &mut emb,
-                        &mut opt_e,
-                        &mut opt_r,
-                        batch,
-                        cfg.loss,
-                        neg,
-                        cfg.n3,
-                        &mut rng,
-                        pool,
-                        &mut shards,
-                    );
+                if self.neg_per_triple > 0 {
+                    neg_batches_counter.inc();
+                    neg_samples_counter.add((self.neg_per_triple * batch.len()) as u64);
                 }
+                batches += 1;
             }
-            if neg_per_triple > 0 {
-                neg_batches_counter.inc();
-                neg_samples_counter.add((neg_per_triple * batch.len()) as u64);
+            self.final_loss = loss_sum / batches.max(1) as f32;
+            self.epochs_run = epoch;
+            epochs_counter.inc();
+            batches_counter.add(batches as u64);
+            if cfg.decay_rate != 1.0 {
+                self.opt_e
+                    .set_learning_rate(self.opt_e.learning_rate() * cfg.decay_rate);
+                self.opt_r
+                    .set_learning_rate(self.opt_r.learning_rate() * cfg.decay_rate);
             }
-            batches += 1;
-        }
-        final_loss = loss_sum / batches.max(1) as f32;
-        epochs_run = epoch;
-        epochs_counter.inc();
-        batches_counter.add(batches as u64);
-        if cfg.decay_rate != 1.0 {
-            opt_e.set_learning_rate(opt_e.learning_rate() * cfg.decay_rate);
-            opt_r.set_learning_rate(opt_r.learning_rate() * cfg.decay_rate);
-        }
 
-        if epoch % cfg.eval_every.max(1) == 0 && !dataset.valid.is_empty() {
-            let metrics = {
-                let _eval_span =
-                    eras_obs::span!("train.eval", epoch = epoch, triples = dataset.valid.len());
-                link_prediction(model, &emb, &dataset.valid, filter, cfg.ranking, pool)
-            };
-            evals_counter.inc();
-            let valid_mrr = metrics.mrr;
-            if metrics.mrr > best_valid.mrr {
-                best_valid = metrics;
-                strikes = 0;
+            let valid = &self.dataset.valid;
+            if epoch.is_multiple_of(cfg.eval_every.max(1)) && !valid.is_empty() {
+                let metrics = {
+                    let _eval_span =
+                        eras_obs::span!("train.eval", epoch = epoch, triples = valid.len());
+                    link_prediction(self.model, &self.emb, valid, self.filter, cfg.ranking, pool)
+                };
+                evals_counter.inc();
+                let valid_mrr = metrics.mrr;
+                if metrics.mrr > self.best_valid.mrr {
+                    self.best_valid = metrics;
+                    self.strikes = 0;
+                } else {
+                    self.strikes += 1;
+                    if self.strikes >= cfg.patience {
+                        eras_obs::event!(
+                            "train.early_stop",
+                            epoch = epoch,
+                            best_valid_mrr = self.best_valid.mrr,
+                        );
+                        self.stopped = true;
+                        break;
+                    }
+                }
+                eras_obs::event!(
+                    "train.progress",
+                    epoch = epoch,
+                    loss = self.final_loss,
+                    valid_mrr = valid_mrr,
+                    best_valid_mrr = self.best_valid.mrr,
+                    strikes = self.strikes,
+                );
+            }
+        }
+    }
+
+    /// Epochs completed so far.
+    pub fn epochs_run(&self) -> usize {
+        self.epochs_run
+    }
+
+    /// Whether patience has stopped the run (further legs are no-ops).
+    pub fn stopped(&self) -> bool {
+        self.stopped
+    }
+
+    /// Best validation metrics observed so far.
+    pub fn best_valid(&self) -> LinkPredictionMetrics {
+        self.best_valid
+    }
+
+    /// Save the run's complete state to `path` (atomic write), so that
+    /// [`TrainRun::resume`] continues it bit-identically.
+    pub fn save(&self, path: &Path) -> Result<(), IoError> {
+        let _ckpt_span = eras_obs::span!("train.checkpoint", epoch = self.epochs_run);
+        TrainCheckpoint {
+            fingerprint: self.fingerprint(),
+            epoch: self.epochs_run,
+            rng_state: self.rng.state(),
+            order: self.order.clone(),
+            embeddings: self.emb.clone(),
+            ent_accum: self.opt_e.accumulator().to_vec(),
+            rel_accum: self.opt_r.accumulator().to_vec(),
+            lr_entity: self.opt_e.learning_rate(),
+            lr_relation: self.opt_r.learning_rate(),
+            best_valid: self.best_valid,
+            strikes: self.strikes,
+            final_loss: self.final_loss,
+        }
+        .save(path)
+    }
+
+    /// End the run: evaluate the final embeddings on the test split.
+    pub fn finish(self, pool: &ThreadPool) -> TrainOutcome {
+        let test = {
+            let _eval_span = eras_obs::span!("train.eval", triples = self.dataset.test.len());
+            link_prediction(
+                self.model,
+                &self.emb,
+                &self.dataset.test,
+                self.filter,
+                self.cfg.ranking,
+                pool,
+            )
+        };
+        TrainOutcome {
+            embeddings: self.emb,
+            best_valid: if self.dataset.valid.is_empty() {
+                test
             } else {
-                strikes += 1;
-                if strikes >= cfg.patience {
-                    eras_obs::event!(
-                        "train.early_stop",
-                        epoch = epoch,
-                        best_valid_mrr = best_valid.mrr,
-                    );
-                    break;
-                }
-            }
-            eras_obs::event!(
-                "train.progress",
-                epoch = epoch,
-                loss = final_loss,
-                valid_mrr = valid_mrr,
-                best_valid_mrr = best_valid.mrr,
-                strikes = strikes,
-            );
-        }
-
-        // Checkpoint *after* this epoch's eval so the patience state is
-        // captured; the early-stop `break` above skips the save, so no
-        // checkpoint ever records a run that already decided to stop.
-        if let Some(spec) = spec {
-            if spec.every > 0 && epoch.is_multiple_of(spec.every) {
-                let _ckpt_span = eras_obs::span!("train.checkpoint", epoch = epoch);
-                TrainCheckpoint {
-                    fingerprint,
-                    epoch,
-                    rng_state: rng.state(),
-                    order: order.clone(),
-                    embeddings: emb.clone(),
-                    ent_accum: opt_e.accumulator().to_vec(),
-                    rel_accum: opt_r.accumulator().to_vec(),
-                    lr_entity: opt_e.learning_rate(),
-                    lr_relation: opt_r.learning_rate(),
-                    best_valid,
-                    strikes,
-                    final_loss,
-                }
-                .save(&spec.path)?;
-            }
+                self.best_valid
+            },
+            test,
+            epochs_run: self.epochs_run,
+            final_loss: self.final_loss,
         }
     }
 
-    let test = {
-        let _eval_span = eras_obs::span!("train.eval", triples = dataset.test.len());
-        link_prediction(model, &emb, &dataset.test, filter, cfg.ranking, pool)
-    };
-    if dataset.valid.is_empty() {
-        best_valid = test;
+    fn fingerprint(&self) -> u64 {
+        config_fingerprint(
+            self.cfg,
+            self.dataset.num_entities(),
+            self.dataset.num_relations(),
+            self.dataset.train.len(),
+        )
     }
-    Ok(TrainOutcome {
-        embeddings: emb,
-        best_valid,
-        test,
-        epochs_run,
-        final_loss,
-    })
 }
 
 /// Convenience: stand-alone validation MRR of a structure (the quantity
@@ -763,6 +890,89 @@ mod tests {
         let small = train_standalone(&model, &dataset, &filter, &small_cfg);
         assert_eq!(small.test.count, full.test.count);
         assert!(small.test.mrr > 0.0 && small.test.mrr <= 1.0);
+    }
+
+    fn assert_same_outcome(a: &TrainOutcome, b: &TrainOutcome, what: &str) {
+        assert_eq!(
+            a.embeddings.entity.as_slice(),
+            b.embeddings.entity.as_slice(),
+            "entity table ({what})"
+        );
+        assert_eq!(
+            a.embeddings.relation.as_slice(),
+            b.embeddings.relation.as_slice(),
+            "relation table ({what})"
+        );
+        assert_eq!(a.best_valid, b.best_valid, "{what}");
+        assert_eq!(a.test, b.test, "{what}");
+        assert_eq!(a.epochs_run, b.epochs_run, "{what}");
+        assert_eq!(a.final_loss.to_bits(), b.final_loss.to_bits(), "{what}");
+    }
+
+    /// A run advanced in two legs — the way ERAS screens a candidate
+    /// and then continues the winner — equals the one-leg run in every
+    /// outcome field, for each step and when patience stops the run in
+    /// the first leg (the second leg is then a no-op).
+    #[test]
+    fn a_run_advanced_in_two_legs_equals_one_leg() {
+        let dataset = Preset::Tiny.build(16);
+        let filter = FilterIndex::build(&dataset);
+        let model = BlockModel::universal(zoo::complex(), dataset.num_relations());
+        let base = TrainConfig {
+            dim: 16,
+            max_epochs: 6,
+            eval_every: 2,
+            patience: 2,
+            batch_size: 128,
+            n3: 1e-3,
+            ..TrainConfig::default()
+        };
+        let patient = TrainConfig {
+            max_epochs: 20,
+            eval_every: 1,
+            patience: 1,
+            lr: 1e-30,
+            ..base.clone()
+        };
+        let cases = [
+            ("sampled", base.clone()),
+            (
+                "full",
+                TrainConfig {
+                    loss: LossMode::Full,
+                    ..base.clone()
+                },
+            ),
+            (
+                "neg",
+                TrainConfig {
+                    loss: LossMode::NegSampling {
+                        negatives: 4,
+                        gamma: 6.0,
+                        adversarial_temp: 1.0,
+                        corruption: Corruption::Bernoulli,
+                    },
+                    ..base.clone()
+                },
+            ),
+            ("patience in the first leg", patient),
+        ];
+        let pool = ThreadPool::new(2);
+        for (what, cfg) in &cases {
+            let reference = train_standalone_on(&model, &dataset, &filter, cfg, &pool);
+            let mut run = TrainRun::start(&model, &dataset, &filter, cfg);
+            run.advance(3, &pool);
+            assert_eq!(run.epochs_run(), reference.epochs_run.min(3), "{what}");
+            run.advance(cfg.max_epochs, &pool);
+            assert_same_outcome(&run.finish(&pool), &reference, what);
+        }
+        let (_, patient) = &cases[3];
+        let reference = train_standalone(&model, &dataset, &filter, patient);
+        assert!(
+            reference.epochs_run < 3,
+            "patience must stop the run inside the first leg, ran {}",
+            reference.epochs_run
+        );
     }
 
     #[test]
