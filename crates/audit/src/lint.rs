@@ -26,7 +26,7 @@
 //!   or on the comment line directly above the impl).
 //! - `W705` — ad-hoc timing or logging (`Instant::now()`, `eprintln!`)
 //!   in the obs-instrumented crates (`linalg`, `train`, `serve`,
-//!   `search`): wall-clock reads belong on `eras_obs::clock`
+//!   `search`, `core`): wall-clock reads belong on `eras_obs::clock`
 //!   (`Stopwatch`, `monotonic_us`) and progress output on the
 //!   `eras_obs::event!` layer, so every timing/logging site flows
 //!   through the observability plane. Suppression requires a
@@ -73,6 +73,7 @@ const OBS_INSTRUMENTED_PREFIXES: &[&str] = &[
     "crates/train/src",
     "crates/serve/src",
     "crates/search/src",
+    "crates/core/src",
 ];
 
 fn is_obs_instrumented(display_path: &str) -> bool {
@@ -531,6 +532,8 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].code, "W705");
         assert!(findings[0].location.ends_with(":2"));
+        let findings = lint_source("crates/core/src/algorithm.rs", src, false);
+        assert_eq!(findings.len(), 1, "{findings:?}");
         // The same source outside the instrumented crates is fine.
         assert!(lint_source("crates/bench/src/timing.rs", src, false).is_empty());
         assert!(lint_source("crates/cli/src/commands.rs", src, false).is_empty());

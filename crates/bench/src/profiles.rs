@@ -162,6 +162,30 @@ mod tests {
         assert!(p.search_train.max_epochs < p.train.max_epochs);
     }
 
+    /// ERAS's screen budget reaches the retrain's first validation, so
+    /// every screened candidate is validated, and never exceeds the
+    /// retrain: quick 8 / 3 = 2 is raised to 3 and then to its
+    /// `eval_every` 4; full (15 ≥ 10), fast (6 ≥ 5) and default (20 ≥ 5)
+    /// keep a third of the retrain; a 2-epoch retrain caps it at 2.
+    #[test]
+    fn screen_budget_reaches_a_validation() {
+        let mut short = ErasConfig::fast();
+        short.retrain.max_epochs = 2;
+        for (name, cfg, epochs) in [
+            ("quick", Profile::quick(Preset::Wn18rr, 1).eras, 4),
+            ("full", Profile::full(Preset::Wn18rr, 1).eras, 15),
+            ("fast", ErasConfig::fast(), 6),
+            ("default", ErasConfig::default(), 20),
+            ("2-epoch retrain", short, 2),
+        ] {
+            assert_eq!(cfg.screen_epochs(), epochs, "{name}");
+            assert!(
+                cfg.screen_epochs() >= cfg.retrain.eval_every.min(cfg.retrain.max_epochs),
+                "{name}"
+            );
+        }
+    }
+
     #[test]
     fn configs_validate() {
         for preset in Preset::paper_benchmarks() {

@@ -398,8 +398,12 @@ pub fn train(args: &Args) -> Result<(), String> {
         every,
         resume: args.has("resume"),
     });
-    if args.has("resume") && ckpt.is_none() {
-        return Err("--resume requires --checkpoint FILE".into());
+    if ckpt.is_none() {
+        for flag in ["resume", "checkpoint-every"] {
+            if args.has(flag) {
+                return Err(format!("--{flag} requires --checkpoint FILE"));
+            }
+        }
     }
     // `--threads N` sizes a dedicated pool for this run; otherwise the
     // process-wide pool applies (`ERAS_THREADS`, see docs/performance.md).

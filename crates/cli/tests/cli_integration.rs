@@ -249,6 +249,25 @@ fn malformed_checkpoint_every_is_an_error() {
 }
 
 #[test]
+fn checkpoint_every_without_checkpoint_is_an_error() {
+    let out = eras()
+        .args(["train", "--preset", "tiny", "--dim", "8", "--epochs", "1"])
+        .args(["--checkpoint-every", "1", "--quiet"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--checkpoint-every requires --checkpoint FILE"),
+        "{stderr}"
+    );
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("test: MRR"),
+        "the run must not train"
+    );
+}
+
+#[test]
 fn rules_command_mines_rules() {
     let out = eras()
         .args(["rules", "--preset", "tiny", "--seed", "5"])

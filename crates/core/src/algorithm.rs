@@ -64,7 +64,9 @@ pub(crate) fn em_assignment(emb: &Embeddings, n_groups: usize, rng: &mut Rng) ->
 /// Steps map to Algorithm 2 in the paper: the epoch loop alternates
 /// embedding updates (step 3), EM re-grouping (step 4) and architecture
 /// updates (steps 5–6); derivation samples `K` architectures (steps 8–11)
-/// and the winner is retrained stand-alone (step 12).
+/// and the winner is retrained stand-alone (step 12). The retrain begins
+/// as a screen: the best one-shot candidates train concurrently for
+/// [`ErasConfig::screen_epochs`], and only the winner's run continues.
 pub fn run_eras(
     dataset: &Dataset,
     filter: &FilterIndex,
@@ -194,7 +196,8 @@ pub fn run_eras(
     // advances it to the screen budget, concurrently; a brief real
     // training run is what Table IX accounts as the "evaluation" phase.
     // The screen is a prefix of the retrain (same seed, model and data;
-    // evaluations draw no randomness), so the winner continues its run
+    // evaluations neither draw from the run's RNG nor write to its
+    // state), so the winner continues its run
     // instead of retraining from scratch, and the losers are dropped
     // without a test evaluation. With one candidate the "screen" is just
     // the retrain's first epochs.
@@ -210,8 +213,8 @@ pub fn run_eras(
             candidates = models.len(),
             epochs = screen_epochs,
         );
-        // Each task's evaluations and sharded steps run inline on its
-        // thread, so the runs are bit-identical for every pool size.
+        // Inside a pool task a run's evaluations and sharded steps run
+        // inline; every run is bit-identical for every pool size.
         pool.map(models.len(), |k| {
             let _run_span = run_span(&cfg.retrain, dataset);
             let mut run = TrainRun::start(&models[k], dataset, filter, &cfg.retrain);
@@ -227,7 +230,7 @@ pub fn run_eras(
     let outcome = {
         let _retrain_span = eras_obs::span!("core.retrain", epochs = cfg.retrain.max_epochs);
         run.advance(cfg.retrain.max_epochs, pool);
-        run.finish(pool)
+        run.into_outcome(pool)
     };
     let model = models[winner].clone();
     let valid_metrics = link_prediction(

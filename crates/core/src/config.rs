@@ -221,8 +221,10 @@ pub struct ErasConfig {
     /// `K`).
     pub derive_k: usize,
     /// How many of the top one-shot candidates get a short stand-alone
-    /// screening run before the final winner is chosen. This is the bulk
-    /// of Table IX's "evaluation" phase.
+    /// screening run ([`ErasConfig::screen_epochs`] of the retrain)
+    /// before the final winner is chosen; the winner's run then
+    /// continues to the full retrain. This is Table IX's "evaluation"
+    /// phase.
     pub derive_screen: usize,
     /// Keep an elite archive of the best architectures seen during search
     /// and offer them as derivation candidates. An implementation choice
@@ -293,9 +295,16 @@ impl ErasConfig {
     }
 
     /// Epochs each short-listed candidate trains before the winner is
-    /// picked: a third of the retrain budget, at least 3.
+    /// picked: a third of the retrain budget, at least 3 and at least
+    /// `retrain.eval_every` (a screen shorter than the validation
+    /// interval never validates, and every candidate would score 0),
+    /// but never more than the retrain itself.
     pub fn screen_epochs(&self) -> usize {
-        (self.retrain.max_epochs / 3).max(3)
+        let retrain = &self.retrain;
+        (retrain.max_epochs / 3)
+            .max(3)
+            .max(retrain.eval_every)
+            .min(retrain.max_epochs)
     }
 
     /// Structured validation: every internal-consistency check as a

@@ -22,8 +22,9 @@
 //! - [`supernet`] — the token-sequence ⇄ `{f_n}` mapping, the exploitative
 //!   constraint, and one-shot reward evaluation on shared embeddings;
 //! - [`config`] — search hyperparameters;
-//! - [`algorithm`] — Algorithm 2: search, derivation (sample K, pick the
-//!   best one-shot reward) and stand-alone retraining;
+//! - [`algorithm`] — Algorithm 2: search, derivation (sample K, short-list
+//!   the best one-shot rewards) and stand-alone retraining, whose first
+//!   epochs screen the short-list;
 //! - [`variants`] — the ablation variants of Table XI: `ERAS^los`,
 //!   `ERAS^dif` (NASP-style differentiable), `ERAS^sig` (single-level),
 //!   `ERAS^pde` (frozen pre-trained grouping), `ERAS^smt` (semantic

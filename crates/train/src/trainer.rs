@@ -13,7 +13,7 @@
 //! The epoch loop lives in [`TrainRun`], a run that stops after any
 //! epoch and continues later bit-identically; the `train_standalone*`
 //! functions start one, advance it to `max_epochs` (saving checkpoints
-//! on the way if asked) and finish it. ERAS advances its short-listed
+//! on the way if asked) and evaluate it. ERAS advances its short-listed
 //! candidates to a screen budget and continues only the winner.
 
 use crate::block::{apply_n3, train_minibatch, BlockModel, BlockScratch};
@@ -152,7 +152,7 @@ pub fn train_standalone_on(
     let _run_span = run_span(cfg, dataset);
     let mut run = TrainRun::start(model, dataset, filter, cfg);
     run.advance(cfg.max_epochs, pool);
-    run.finish(pool)
+    run.into_outcome(pool)
 }
 
 /// [`train_standalone_on`] with optional checkpointing: with a
@@ -192,7 +192,7 @@ pub fn train_standalone_resumable(
             run.save(&spec.path)?;
         }
     }
-    Ok(run.finish(pool))
+    Ok(run.into_outcome(pool))
 }
 
 /// Opens the `train.run` span: one model trained from its start. A run
@@ -211,11 +211,11 @@ pub fn run_span(cfg: &TrainConfig, dataset: &Dataset) -> eras_obs::trace::SpanGu
 
 /// One stand-alone training run that can be stopped after any epoch and
 /// continued: [`TrainRun::start`] (or [`TrainRun::resume`] from a
-/// checkpoint), [`TrainRun::advance`] to an epoch, and
-/// [`TrainRun::finish`] with the test evaluation. The epoch sequence
-/// depends only on the seed and the config, never on where the legs
-/// end, so a run advanced in several legs equals one advanced in one
-/// leg bit for bit. The run owns all of its mutable state (embeddings,
+/// checkpoint), [`TrainRun::advance`] to an epoch, then
+/// [`TrainRun::into_outcome`], which runs the test evaluation. The epoch
+/// sequence depends only on the seed and the config, never on where the
+/// legs end, so a run advanced in several legs equals one advanced in
+/// one leg bit for bit. The run owns all of its mutable state (embeddings,
 /// Adagrad accumulators, RNG, training order, step scratch), so several
 /// runs can advance concurrently on one pool.
 pub struct TrainRun<'a> {
@@ -491,7 +491,7 @@ impl<'a> TrainRun<'a> {
     }
 
     /// End the run: evaluate the final embeddings on the test split.
-    pub fn finish(self, pool: &ThreadPool) -> TrainOutcome {
+    pub fn into_outcome(self, pool: &ThreadPool) -> TrainOutcome {
         let test = {
             let _eval_span = eras_obs::span!("train.eval", triples = self.dataset.test.len());
             link_prediction(
@@ -964,7 +964,7 @@ mod tests {
             run.advance(3, &pool);
             assert_eq!(run.epochs_run(), reference.epochs_run.min(3), "{what}");
             run.advance(cfg.max_epochs, &pool);
-            assert_same_outcome(&run.finish(&pool), &reference, what);
+            assert_same_outcome(&run.into_outcome(&pool), &reference, what);
         }
         let (_, patient) = &cases[3];
         let reference = train_standalone(&model, &dataset, &filter, patient);
