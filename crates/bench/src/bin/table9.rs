@@ -97,7 +97,10 @@ fn main() {
         });
     }
 
-    println!("\nTable IX — running time (seconds, single CPU):\n");
+    println!(
+        "\nTable IX — running time (seconds, {} pool threads):\n",
+        eras_linalg::pool::ThreadPool::global().parallelism()
+    );
     let names: Vec<String> = Preset::paper_benchmarks()
         .iter()
         .map(|p| p.name().to_string())

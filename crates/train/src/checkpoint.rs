@@ -5,7 +5,7 @@
 //! run would have.
 //!
 //! "Complete state" is the whole closure of
-//! [`crate::trainer::train_standalone_on`]'s epoch loop: the RNG state,
+//! [`crate::trainer::TrainRun`]'s epoch loop: the RNG state,
 //! the cumulative shuffle order (the trainer re-shuffles the *previous*
 //! epoch's order, so the permutation is history-dependent and must be
 //! saved, not recomputed), both embedding tables, both Adagrad

@@ -182,13 +182,13 @@ pub fn train_standalone_resumable(
     // Advance from save point to save point. A run that stopped early
     // is never saved, so no checkpoint records a run that already
     // decided to stop.
-    while !run.stopped() && run.epochs_run() < cfg.max_epochs {
+    while !run.stopped && run.epochs_run < cfg.max_epochs {
         if spec.every == 0 {
             run.advance(cfg.max_epochs, pool);
             break;
         }
-        run.advance((run.epochs_run() / spec.every + 1) * spec.every, pool);
-        if !run.stopped() && run.epochs_run().is_multiple_of(spec.every) {
+        run.advance((run.epochs_run / spec.every + 1) * spec.every, pool);
+        if !run.stopped && run.epochs_run.is_multiple_of(spec.every) {
             run.save(&spec.path)?;
         }
     }
@@ -238,6 +238,7 @@ pub struct TrainRun<'a> {
     strikes: usize,
     epochs_run: usize,
     final_loss: f32,
+    /// Patience has stopped the run; later legs are no-ops.
     stopped: bool,
 }
 
@@ -452,16 +453,6 @@ impl<'a> TrainRun<'a> {
                 );
             }
         }
-    }
-
-    /// Epochs completed so far.
-    pub fn epochs_run(&self) -> usize {
-        self.epochs_run
-    }
-
-    /// Whether patience has stopped the run (further legs are no-ops).
-    pub fn stopped(&self) -> bool {
-        self.stopped
     }
 
     /// Best validation metrics observed so far.
@@ -962,7 +953,7 @@ mod tests {
             let reference = train_standalone_on(&model, &dataset, &filter, cfg, &pool);
             let mut run = TrainRun::start(&model, &dataset, &filter, cfg);
             run.advance(3, &pool);
-            assert_eq!(run.epochs_run(), reference.epochs_run.min(3), "{what}");
+            assert_eq!(run.epochs_run, reference.epochs_run.min(3), "{what}");
             run.advance(cfg.max_epochs, &pool);
             assert_same_outcome(&run.into_outcome(&pool), &reference, what);
         }
