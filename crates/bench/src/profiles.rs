@@ -163,24 +163,31 @@ mod tests {
     }
 
     /// ERAS's screen budget reaches the retrain's first validation, so
-    /// every screened candidate is validated, and never exceeds the
-    /// retrain: quick 8 / 3 = 2 is raised to 3 and then to its
-    /// `eval_every` 4; full (15 ≥ 10), fast (6 ≥ 5) and default (20 ≥ 5)
-    /// keep a third of the retrain; a 2-epoch retrain caps it at 2.
+    /// every screened candidate is validated, ends on a validation, and
+    /// never exceeds the retrain: quick 8 / 3 = 2 is raised to 3 and
+    /// then to its `eval_every` 4; full 15 and fast 6 round down to
+    /// their last validation, 10 and 5; default 20 is one already; a
+    /// 2-epoch retrain caps it at 2.
     #[test]
     fn screen_budget_reaches_a_validation() {
         let mut short = ErasConfig::fast();
         short.retrain.max_epochs = 2;
         for (name, cfg, epochs) in [
             ("quick", Profile::quick(Preset::Wn18rr, 1).eras, 4),
-            ("full", Profile::full(Preset::Wn18rr, 1).eras, 15),
-            ("fast", ErasConfig::fast(), 6),
+            ("full", Profile::full(Preset::Wn18rr, 1).eras, 10),
+            ("fast", ErasConfig::fast(), 5),
             ("default", ErasConfig::default(), 20),
             ("2-epoch retrain", short, 2),
         ] {
+            let every = cfg.retrain.eval_every;
             assert_eq!(cfg.screen_epochs(), epochs, "{name}");
             assert!(
-                cfg.screen_epochs() >= cfg.retrain.eval_every.min(cfg.retrain.max_epochs),
+                cfg.screen_epochs() >= every.min(cfg.retrain.max_epochs),
+                "{name}"
+            );
+            assert!(
+                cfg.screen_epochs().is_multiple_of(every)
+                    || cfg.screen_epochs() == cfg.retrain.max_epochs,
                 "{name}"
             );
         }

@@ -65,8 +65,9 @@ pub(crate) fn em_assignment(emb: &Embeddings, n_groups: usize, rng: &mut Rng) ->
 /// embedding updates (step 3), EM re-grouping (step 4) and architecture
 /// updates (steps 5–6); derivation samples `K` architectures (steps 8–11)
 /// and the winner is retrained stand-alone (step 12). The retrain begins
-/// as a screen: the best one-shot candidates train concurrently for
-/// [`ErasConfig::screen_epochs`], and only the winner's run continues.
+/// as a screen: the best one-shot candidates train for
+/// [`ErasConfig::screen_epochs`] (concurrently when the retrain's step is
+/// sequential), and only the winner's run continues.
 pub fn run_eras(
     dataset: &Dataset,
     filter: &FilterIndex,
@@ -193,39 +194,62 @@ pub fn run_eras(
 
     // --- Screen the short-list, retrain the winner (step 12) --------------
     // Every short-listed candidate starts the retrain's own run and
-    // advances it to the screen budget, concurrently; a brief real
-    // training run is what Table IX accounts as the "evaluation" phase.
-    // The screen is a prefix of the retrain (same seed, model and data;
-    // evaluations neither draw from the run's RNG nor write to its
-    // state), so the winner continues its run
-    // instead of retraining from scratch, and the losers are dropped
-    // without a test evaluation. With one candidate the "screen" is just
-    // the retrain's first epochs.
+    // advances it to the screen budget; a brief real training run is
+    // what Table IX accounts as the "evaluation" phase. The screen is a
+    // prefix of the retrain (same seed, model and data; evaluations
+    // neither draw from the run's RNG nor write to its state), so the
+    // winner continues its run instead of retraining from scratch, and
+    // the losers are dropped without a test evaluation. With one
+    // candidate the "screen" is just the retrain's first epochs.
+    //
+    // The loss picks how the short-list shares the pool. The sequential
+    // step trains on one thread, so up to `parallelism` candidates screen
+    // at once, one per pool task; their validations then run inline. The
+    // sharded step already spreads each minibatch over the whole pool, so
+    // its candidates screen one after another. Either way only the best
+    // run so far outlives its round, without its step buffers.
     let pool = ThreadPool::global();
     let models: Vec<BlockModel> = shortlist
         .iter()
         .map(|sfs| BlockModel::relation_aware(sfs.clone(), assignment.clone()))
         .collect();
     let screen_epochs = cfg.screen_epochs();
+    let per_round = if cfg.retrain.loss.sharded_step() {
+        1
+    } else {
+        pool.parallelism()
+    };
     let (winner, mut run) = {
         let _screen_span = eras_obs::span!(
             "core.screen",
             candidates = models.len(),
             epochs = screen_epochs,
+            per_round = per_round,
         );
-        // Inside a pool task a run's evaluations and sharded steps run
-        // inline; every run is bit-identical for every pool size.
-        pool.map(models.len(), |k| {
-            let _run_span = run_span(&cfg.retrain, dataset);
-            let mut run = TrainRun::start(&models[k], dataset, filter, &cfg.retrain);
-            run.advance(screen_epochs, pool);
-            run
-        })
-        .into_iter()
-        .enumerate()
-        // Fixed short-list order; the last of equal MRRs wins.
-        .max_by(|a, b| nan_lowest_f64(a.1.best_valid().mrr, b.1.best_valid().mrr))
-        .expect("the short-list is never empty")
+        let mut best: Option<(usize, TrainRun)> = None;
+        for first in (0..models.len()).step_by(per_round) {
+            let round = per_round.min(models.len() - first);
+            // A one-task round runs on the calling thread with the whole
+            // pool; every run is bit-identical for every pool size.
+            let runs = pool.map(round, |i| {
+                let _run_span = run_span(&cfg.retrain, dataset);
+                let mut run = TrainRun::start(&models[first + i], dataset, filter, &cfg.retrain);
+                run.advance(screen_epochs, pool);
+                run.release_buffers();
+                run
+            });
+            // Fixed short-list order; the last of equal MRRs wins.
+            for (k, run) in (first..).zip(runs) {
+                let mrr = run.best_valid().mrr;
+                if best
+                    .as_ref()
+                    .is_none_or(|(_, b)| nan_lowest_f64(mrr, b.best_valid().mrr).is_ge())
+                {
+                    best = Some((k, run));
+                }
+            }
+        }
+        best.expect("the short-list is never empty")
     };
     let outcome = {
         let _retrain_span = eras_obs::span!("core.retrain", epochs = cfg.retrain.max_epochs);
@@ -288,13 +312,15 @@ mod tests {
 
     /// The screen is a prefix of the retrain: the continued winner equals
     /// a from-scratch `train_standalone` of the derived structures in
-    /// every field, also when patience stops the runs inside the screen.
-    /// The pinned test-MRR bits hold for every `ERAS_THREADS` (CI runs
-    /// the suite at 1 and 4), so the concurrent screen is pool-size
+    /// every field, also when patience stops the runs inside the screen,
+    /// and under a sharded step, whose candidates screen one after
+    /// another. The pinned test-MRR bits hold for every `ERAS_THREADS`
+    /// (CI runs the suite at 1 and 4), so both screens are pool-size
     /// invariant.
     #[test]
     fn continued_winner_equals_a_fresh_retrain() {
         use eras_train::trainer::{train_standalone, TrainConfig};
+        use eras_train::LossMode;
         let dataset = Preset::Tiny.build(11);
         let filter = FilterIndex::build(&dataset);
         let patient = ErasConfig {
@@ -306,9 +332,17 @@ mod tests {
             },
             ..ErasConfig::fast()
         };
+        let sharded = ErasConfig {
+            retrain: TrainConfig {
+                loss: LossMode::neg_sampling_default(),
+                ..ErasConfig::fast().retrain
+            },
+            ..ErasConfig::fast()
+        };
         for (cfg, mrr_bits) in [
             (ErasConfig::fast(), 0x3fc1_dbc7_d555_4ffd_u64),
             (patient, 0x3fa2_c410_e511_34cf),
+            (sharded, 0x3fb7_e792_4b9d_c380),
         ] {
             let outcome = run_eras(&dataset, &filter, &cfg, Variant::Full);
             let reference = train_standalone(&outcome.model, &dataset, &filter, &cfg.retrain);
@@ -331,8 +365,9 @@ mod tests {
             assert_eq!(
                 outcome.test.mrr.to_bits(),
                 mrr_bits,
-                "test MRR {} moved",
-                outcome.test.mrr
+                "test MRR {} ({:#x}) moved",
+                outcome.test.mrr,
+                outcome.test.mrr.to_bits()
             );
         }
     }

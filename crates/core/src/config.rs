@@ -298,13 +298,13 @@ impl ErasConfig {
     /// picked: a third of the retrain budget, at least 3 and at least
     /// `retrain.eval_every` (a screen shorter than the validation
     /// interval never validates, and every candidate would score 0),
-    /// but never more than the retrain itself.
+    /// rounded down to the last validation (later epochs cannot change
+    /// a candidate's score), but never more than the retrain itself.
     pub fn screen_epochs(&self) -> usize {
         let retrain = &self.retrain;
-        (retrain.max_epochs / 3)
-            .max(3)
-            .max(retrain.eval_every)
-            .min(retrain.max_epochs)
+        let every = retrain.eval_every.max(1);
+        let budget = (retrain.max_epochs / 3).max(3).max(every);
+        (budget - budget % every).min(retrain.max_epochs)
     }
 
     /// Structured validation: every internal-consistency check as a

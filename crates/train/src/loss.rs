@@ -61,6 +61,14 @@ impl LossMode {
             corruption: Corruption::Uniform,
         }
     }
+
+    /// Whether this loss trains on the sharded step, which spreads each
+    /// minibatch over the pool ([`crate::parallel::train_minibatch_parallel`]:
+    /// [`LossMode::Full`] and [`LossMode::NegSampling`]), rather than on
+    /// the sequential [`crate::block::train_minibatch`] (the sampled loss).
+    pub fn sharded_step(&self) -> bool {
+        !matches!(self, LossMode::Sampled { .. })
+    }
 }
 
 #[cfg(test)]

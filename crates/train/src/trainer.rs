@@ -360,45 +360,42 @@ impl<'a> TrainRun<'a> {
             let mut loss_sum = 0.0f32;
             let mut batches = 0usize;
             for batch in self.order.chunks(cfg.batch_size.max(1)) {
-                match cfg.loss {
-                    LossMode::Sampled { .. } => {
-                        loss_sum += train_minibatch(
-                            self.model,
+                if cfg.loss.sharded_step() {
+                    // N3 is folded into the batch gradient here rather
+                    // than applied as a separate pass.
+                    loss_sum += train_minibatch_parallel(
+                        self.model,
+                        &mut self.emb,
+                        &mut self.opt_e,
+                        &mut self.opt_r,
+                        batch,
+                        cfg.loss,
+                        neg,
+                        cfg.n3,
+                        &mut self.rng,
+                        pool,
+                        &mut self.shards,
+                    );
+                } else {
+                    loss_sum += train_minibatch(
+                        self.model,
+                        &mut self.emb,
+                        &mut self.opt_e,
+                        &mut self.opt_r,
+                        batch,
+                        cfg.loss,
+                        neg,
+                        &mut self.rng,
+                        &mut self.scratch,
+                    );
+                    if cfg.n3 > 0.0 {
+                        apply_n3(
                             &mut self.emb,
                             &mut self.opt_e,
                             &mut self.opt_r,
                             batch,
-                            cfg.loss,
-                            neg,
-                            &mut self.rng,
-                            &mut self.scratch,
-                        );
-                        if cfg.n3 > 0.0 {
-                            apply_n3(
-                                &mut self.emb,
-                                &mut self.opt_e,
-                                &mut self.opt_r,
-                                batch,
-                                cfg.n3,
-                                &mut self.scratch,
-                            );
-                        }
-                    }
-                    LossMode::Full | LossMode::NegSampling { .. } => {
-                        // N3 is folded into the batch gradient here rather
-                        // than applied as a separate pass.
-                        loss_sum += train_minibatch_parallel(
-                            self.model,
-                            &mut self.emb,
-                            &mut self.opt_e,
-                            &mut self.opt_r,
-                            batch,
-                            cfg.loss,
-                            neg,
                             cfg.n3,
-                            &mut self.rng,
-                            pool,
-                            &mut self.shards,
+                            &mut self.scratch,
                         );
                     }
                 }
@@ -458,6 +455,14 @@ impl<'a> TrainRun<'a> {
     /// Best validation metrics observed so far.
     pub fn best_valid(&self) -> LinkPredictionMetrics {
         self.best_valid
+    }
+
+    /// Free the minibatch step's reusable buffers (under the sharded
+    /// step, its shard tables) while the run waits between legs; the
+    /// next leg sizes them again. No number of the run changes.
+    pub fn release_buffers(&mut self) {
+        self.scratch = BlockScratch::new();
+        self.shards = GradShards::new();
     }
 
     /// Save the run's complete state to `path` (atomic write), so that
@@ -900,10 +905,11 @@ mod tests {
         assert_eq!(a.final_loss.to_bits(), b.final_loss.to_bits(), "{what}");
     }
 
-    /// A run advanced in two legs — the way ERAS screens a candidate
-    /// and then continues the winner — equals the one-leg run in every
-    /// outcome field, for each step and when patience stops the run in
-    /// the first leg (the second leg is then a no-op).
+    /// A run advanced in two legs — the way ERAS screens a candidate,
+    /// frees its step buffers and then continues the winner — equals the
+    /// one-leg run in every outcome field, for each step and when
+    /// patience stops the run in the first leg (the second leg is then a
+    /// no-op).
     #[test]
     fn a_run_advanced_in_two_legs_equals_one_leg() {
         let dataset = Preset::Tiny.build(16);
@@ -954,6 +960,7 @@ mod tests {
             let mut run = TrainRun::start(&model, &dataset, &filter, cfg);
             run.advance(3, &pool);
             assert_eq!(run.epochs_run, reference.epochs_run.min(3), "{what}");
+            run.release_buffers();
             run.advance(cfg.max_epochs, &pool);
             assert_same_outcome(&run.into_outcome(&pool), &reference, what);
         }
