@@ -14,9 +14,10 @@
 //!    certified search-space score envelope; with headroom, that bound
 //!    must sit far inside the `f32` range.
 //! 3. **`StreamTopK` NaN discipline** — the streaming top-k's cached
-//!    worst-member threshold starts as a NaN sentinel; the fast-reject
-//!    in `offer` must test `is_nan` before trusting it, or a NaN
-//!    threshold silently rejects every candidate.
+//!    worst-member threshold starts as a NaN sentinel; the fast reject
+//!    in `offer` and the whole-chunk reject in `consume` must each test
+//!    `is_nan` before trusting it, or a NaN threshold silently rejects
+//!    every candidate.
 
 use crate::diag::Finding;
 use crate::flow::parse::{parse, FileModel};
@@ -116,7 +117,7 @@ fn check_stream_topk(files: &[FileModel], findings: &mut Vec<Finding>) {
             continue;
         }
         let mut ok = true;
-        for (name, must_have) in [("offer", "is_nan"), ("new", "NAN")] {
+        for (name, must_have) in [("offer", "is_nan"), ("consume", "is_nan"), ("new", "NAN")] {
             let Some(f) = fns.iter().find(|f| f.name == name) else {
                 continue;
             };
@@ -147,7 +148,7 @@ fn check_stream_topk(files: &[FileModel], findings: &mut Vec<Finding>) {
                 pass: "numeric",
                 location: file.path.clone(),
                 message: "StreamTopK thresholds are NaN-free by construction (sentinel \
-                          init + is_nan-guarded fast reject)"
+                          init + is_nan-guarded fast and chunk rejects)"
                     .to_string(),
             });
         }
@@ -164,9 +165,11 @@ fn files_fns_of<'a>(file: &'a FileModel, self_ty: &str) -> Vec<&'a crate::flow::
 /// Contract 2: block accumulation in the fused scan cannot overflow at
 /// the certified score envelope.
 fn check_scan_envelope(score_envelope: f64, findings: &mut Vec<Finding>) {
-    // Every accumulator in `scan_rows` (q-tile partials included) holds
-    // a partial sum of per-coordinate products whose absolute total is
-    // the all-cells-positive envelope, so the envelope bounds each one.
+    // Every accumulator in `scan_rows` (each lane of the transposed
+    // eight-query tile, its remainder sums and the lane-combine tree's
+    // partial sums included) holds a partial sum of per-coordinate
+    // products whose absolute total is the all-cells-positive envelope,
+    // so the envelope bounds each one.
     if score_envelope.is_finite() && score_envelope * SCAN_HEADROOM < f32::MAX as f64 {
         findings.push(Finding {
             code: "I800",
@@ -259,6 +262,46 @@ impl<'a> StreamTopK<'a> {
         let findings = check_sources(&[("crates/linalg/src/scan.rs", src)], 100.0);
         assert!(
             findings
+                .iter()
+                .any(|f| f.code == "E802" && f.message.contains("offer")),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
+    fn naked_stream_topk_chunk_reject_is_flagged() {
+        let src = r#"
+impl<'a> StreamTopK<'a> {
+    pub fn new(k: usize) -> Self {
+        StreamTopK { k, worst: Hit { id: 0, score: f32::NAN } }
+    }
+    fn offer(&mut self, h: Hit) {
+        if !self.worst.score.is_nan() && h.score < self.worst.score {
+            return;
+        }
+        self.heap.push(h);
+    }
+}
+impl BlockConsumer for StreamTopK<'_> {
+    fn consume(&mut self, base: u32, scores: &[f32]) {
+        for chunk in scores.chunks_exact(8) {
+            if self.heap.len() == self.k && !chunk.iter().any(|&s| s >= self.worst.score) {
+                continue;
+            }
+            self.offer_run(base, chunk);
+        }
+    }
+}
+"#;
+        let findings = check_sources(&[("crates/linalg/src/scan.rs", src)], 100.0);
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.code == "E802" && f.message.contains("consume")),
+            "{findings:?}"
+        );
+        assert!(
+            !findings
                 .iter()
                 .any(|f| f.code == "E802" && f.message.contains("offer")),
             "{findings:?}"

@@ -335,11 +335,14 @@ pub const COMMANDS: &[Command] = &[
 ];
 
 fn train_config(args: &Args) -> Result<TrainConfig, String> {
+    let epochs = args.get_or("epochs", 40usize)?;
     Ok(TrainConfig {
         dim: args.get_or("dim", 32usize)?,
         lr: args.get_or("lr", 0.1f32)?,
-        max_epochs: args.get_or("epochs", 40usize)?,
-        eval_every: 10,
+        max_epochs: epochs,
+        // Validate every 10 epochs, or at the last one of a shorter
+        // run, so every run validates at least once.
+        eval_every: epochs.clamp(1, 10),
         patience: 3,
         loss: loss_mode(args)?,
         ranking: ranking_mode(args, "sampled-eval")?,

@@ -134,6 +134,54 @@ fn generate_then_train_from_tsv_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A run shorter than the validation interval validates at its last
+/// epoch: `eras train` echoes a progress line (stderr) for it.
+#[test]
+fn short_training_run_validates() {
+    let out = eras()
+        .args(["train", "--preset", "tiny", "--dim", "16", "--epochs", "5"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("[train.progress] epoch=5 "), "{stderr}");
+}
+
+/// A stand-alone search whose candidates train for fewer epochs than
+/// the validation interval still ranks them on a validation MRR, so
+/// its best candidate scores above zero.
+#[test]
+fn short_autosf_search_validates_its_candidates() {
+    let out = eras()
+        .args([
+            "search",
+            "--preset",
+            "tiny",
+            "--method",
+            "autosf",
+            "--epochs",
+            "3",
+            "--dim",
+            "16",
+            "--evaluations",
+            "2",
+        ])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let best: f64 = stdout
+        .lines()
+        .find_map(|l| l.split("best stand-alone valid MRR ").nth(1))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no best valid MRR line: {stdout}"));
+    assert!(best > 0.0, "{stdout}");
+}
+
 /// A sampled-ranking candidate count of 0 is outside input, not a bug:
 /// both commands must refuse it with an error naming the flag (exit 1),
 /// never a panic (exit 101) — and `train` before any training runs.

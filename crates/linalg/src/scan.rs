@@ -15,24 +15,44 @@
 //! - tiles the entity table into [`BLOCK_ROWS`]-row blocks sized to
 //!   stay L1/L2-resident (`256 rows × 32 dims × 4 B = 32 KiB` at the
 //!   serving benchmark's dimension),
-//! - processes queries in register tiles of four over each block via
-//!   [`crate::vecops::dot4`], so every row is loaded once per four
-//!   queries instead of once per query,
+//! - scores two or more queries in transposed tiles of eight (below),
+//!   so every row is loaded once per eight queries and scored with
+//!   vertical multiply/adds only; a single query runs
+//!   [`vecops::dot`] per row,
 //! - hands each consumer its block of scores through a small
 //!   stack-resident scratch buffer ([`BlockConsumer::consume`]), where
 //!   a cached-threshold top-k ([`StreamTopK`]) or a rank tally
 //!   ([`RankTally`]) digests them without ever seeing a full score
 //!   vector.
 //!
+//! ## The transposed tile
+//!
+//! [`vecops::dot`] keeps eight lane accumulators, lane `k` summing the
+//! products of coordinates `k, k+8, k+16, …`, then folds them with the
+//! fixed tree `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))` and adds the
+//! sequential sum over the `dim mod 8` remainder coordinates. The scan
+//! transposes its query vectors once per call into tiles of eight
+//! (`[f32; 8]` number `j` of a tile holds coordinate `j` of its eight
+//! queries, so the tile is laid out `qt[j·8 + i]`) and keeps eight
+//! `[f32; 8]` accumulators per row, where entry `i` of accumulator `k`
+//! is lane `k` of query `i`. Each multiply and add of `dot(row, qᵢ)`
+//! thus happens in the same order, side by side with the other seven
+//! queries', and the fold runs the same tree entry-wise: seven vertical
+//! adds for eight scores, where a per-query dot needs a horizontal
+//! lane-combine each. A batch whose size is not a multiple of eight
+//! pads its last tile with zero queries, whose scores are never handed
+//! to a consumer.
+//!
 //! ## Exactness
 //!
 //! Every score produced by the scan is bit-identical to
 //! `vecops::dot(row, q)` — and therefore to `Matrix::matvec` — under
-//! both the vectorized and the `scalar-kernels` builds ([`dot4`]'s
-//! documented invariant). The serve/eval agreement tests compare the
-//! fused path against the materialized matvec path down to the bit.
-//!
-//! [`dot4`]: crate::vecops::dot4
+//! both the vectorized and the `scalar-kernels` builds (the scalar
+//! build scores every query with `dot`). The one exception is the bits
+//! of a NaN score: Rust leaves the sign and payload of a NaN result
+//! unspecified, so a NaN is only guaranteed to be some NaN. The
+//! serve/eval agreement tests compare the fused path against the
+//! materialized matvec path down to the bit.
 
 use crate::cmp;
 use crate::matrix::Matrix;
@@ -42,13 +62,19 @@ use std::collections::BinaryHeap;
 
 /// Rows per cache block of the fused scan. At dimension `d` a block
 /// holds `256·d·4` bytes of entity rows (32 KiB at d = 32, 128 KiB at
-/// d = 128) — small enough that the four query tiles sweeping it reuse
+/// d = 128) — small enough that the query tiles sweeping it reuse
 /// L1/L2-resident rows rather than streaming from memory.
 pub const BLOCK_ROWS: usize = 256;
 
-/// Queries per register tile: [`vecops::dot4`] keeps four accumulator
-/// sets live across one row load.
-const QTILE: usize = 4;
+/// Queries per transposed tile: entry `i` of each `[f32; QTILE]`
+/// accumulator belongs to query `i` of the tile.
+const QTILE: usize = 8;
+
+// `tile_dot` spells out `dot`'s eight lanes and their combine tree.
+const _: () = assert!(vecops::LANES == 8);
+
+/// Scores per chunk of [`StreamTopK`]'s whole-chunk reject.
+const REJECT_CHUNK: usize = 8;
 
 /// A streaming sink for one query's scores. The scan calls
 /// [`consume`](BlockConsumer::consume) once per cache block with the
@@ -64,55 +90,136 @@ pub trait BlockConsumer {
 /// (`qvecs` holds them contiguously, `table.cols()` floats each) and
 /// stream each query's scores into its consumer.
 ///
-/// Scores are bit-identical to `vecops::dot(table.row(e), q)` for
-/// every entity `e` — see the module docs.
-// audit:allow(E701): all indexing is structurally in bounds — row
-// indices stay below table.rows() (block loop bound), query offsets
-// below consumers.len()*dim (qvecs length is debug-asserted), and
-// scratch offsets below QTILE*BLOCK_ROWS (nb <= BLOCK_ROWS, t < QTILE)
+/// Two or more queries are scored in transposed tiles of eight, one
+/// query by a [`vecops::dot`] per row; the `scalar-kernels` build
+/// always takes the latter. Scores are bit-identical to
+/// `vecops::dot(table.row(e), q)` for every entity `e` either way —
+/// see the module docs.
 pub fn scan_rows<C: BlockConsumer>(table: &Matrix, qvecs: &[f32], consumers: &mut [C]) {
+    debug_assert_eq!(qvecs.len(), consumers.len() * table.cols());
+    if consumers.len() >= 2 && !vecops::SCALAR_KERNELS {
+        scan_tiled(table, qvecs, consumers);
+    } else {
+        scan_each(table, qvecs, consumers);
+    }
+}
+
+/// The per-query path: each query's block of scores is one `dot` per
+/// row over the same cache-hot block.
+// audit:allow(E701): row indices stay below table.rows() (block loop
+// bound), query offsets below consumers.len()*dim (the qvecs length
+// scan_rows debug-asserts), and scratch offsets below nb <= BLOCK_ROWS
+fn scan_each<C: BlockConsumer>(table: &Matrix, qvecs: &[f32], consumers: &mut [C]) {
     let dim = table.cols();
-    let nq = consumers.len();
-    debug_assert_eq!(qvecs.len(), nq * dim);
     let rows = table.rows();
-    // Per-block score scratch, one BLOCK_ROWS stripe per tiled query:
-    // 4 KiB on the stack, no heap traffic in the hot loop.
-    let mut scores = [0.0f32; QTILE * BLOCK_ROWS];
+    let mut scores = [0.0f32; BLOCK_ROWS];
     let mut base = 0;
     while base < rows {
         let nb = BLOCK_ROWS.min(rows - base);
-        let mut qi = 0;
-        // Register-tiled queries: each entity row is loaded once per
-        // four queries while it is cache-hot.
-        while qi + QTILE <= nq {
-            let q0 = &qvecs[qi * dim..(qi + 1) * dim];
-            let q1 = &qvecs[(qi + 1) * dim..(qi + 2) * dim];
-            let q2 = &qvecs[(qi + 2) * dim..(qi + 3) * dim];
-            let q3 = &qvecs[(qi + 3) * dim..(qi + 4) * dim];
-            for r in 0..nb {
-                let s = vecops::dot4(table.row(base + r), q0, q1, q2, q3);
-                scores[r] = s[0];
-                scores[BLOCK_ROWS + r] = s[1];
-                scores[2 * BLOCK_ROWS + r] = s[2];
-                scores[3 * BLOCK_ROWS + r] = s[3];
-            }
-            for t in 0..QTILE {
-                consumers[qi + t].consume(base as u32, &scores[t * BLOCK_ROWS..][..nb]);
-            }
-            qi += QTILE;
-        }
-        // Remainder queries (nq mod 4), one at a time over the same
-        // cache-hot block.
-        while qi < nq {
+        for (qi, sink) in consumers.iter_mut().enumerate() {
             let q = &qvecs[qi * dim..(qi + 1) * dim];
             for r in 0..nb {
                 scores[r] = vecops::dot(table.row(base + r), q);
             }
-            consumers[qi].consume(base as u32, &scores[..nb]);
-            qi += 1;
+            sink.consume(base as u32, &scores[..nb]);
         }
         base += nb;
     }
+}
+
+/// The tiled path: queries transposed into tiles of [`QTILE`], each
+/// row of a block scored against a whole tile by [`tile_dot`].
+// audit:allow(E701): qt is sized tiles*dim and indexed with t < tiles,
+// j < dim, i < QTILE; row indices stay below table.rows(); scratch
+// offsets stay below QTILE*BLOCK_ROWS (i < QTILE, r < nb <=
+// BLOCK_ROWS); consumer indices t*QTILE + i stay below nq (i < live)
+fn scan_tiled<C: BlockConsumer>(table: &Matrix, qvecs: &[f32], consumers: &mut [C]) {
+    let dim = table.cols();
+    let nq = consumers.len();
+    let tiles = nq.div_ceil(QTILE);
+    // qt[t·dim + j][i] is coordinate j of query t·QTILE + i; the last
+    // tile's missing queries stay zero.
+    let mut qt = vec![[0.0f32; QTILE]; tiles * dim];
+    for qi in 0..nq {
+        let (t, i) = (qi / QTILE, qi % QTILE);
+        for j in 0..dim {
+            qt[t * dim + j][i] = qvecs[qi * dim + j];
+        }
+    }
+    let rows = table.rows();
+    // Per-block score scratch, one BLOCK_ROWS stripe per query of a
+    // tile: 8 KiB on the stack, no heap traffic in the hot loop.
+    let mut scores = [0.0f32; QTILE * BLOCK_ROWS];
+    let mut base = 0;
+    while base < rows {
+        let nb = BLOCK_ROWS.min(rows - base);
+        for t in 0..tiles {
+            let tile = &qt[t * dim..(t + 1) * dim];
+            for r in 0..nb {
+                let s = tile_dot(table.row(base + r), tile);
+                for i in 0..QTILE {
+                    scores[i * BLOCK_ROWS + r] = s[i];
+                }
+            }
+            let live = QTILE.min(nq - t * QTILE);
+            for i in 0..live {
+                consumers[t * QTILE + i].consume(base as u32, &scores[i * BLOCK_ROWS..][..nb]);
+            }
+        }
+        base += nb;
+    }
+}
+
+/// One row against one transposed tile (`tile[j][i]` = coordinate `j`
+/// of query `i`): entry `i` of the result is `vecops::dot(row, qᵢ)` bit
+/// for bit. Accumulator `ak` carries `dot`'s lane `k` for all the
+/// tile's queries, and the fold is `dot`'s lane-combine tree plus its
+/// remainder sum, entry-wise. The eight accumulators are named, not
+/// indexed, so they stay in registers and each [`lane_step`] is one
+/// vector multiply and add whatever the optimizer's unrolling budget.
+// audit:allow(E701): constant indices 0..LANES into [_; LANES] chunks
+// and 0..QTILE into [f32; QTILE] arrays — statically in bounds
+#[inline(always)]
+fn tile_dot(row: &[f32], tile: &[[f32; QTILE]]) -> [f32; QTILE] {
+    const LANES: usize = vecops::LANES;
+    debug_assert_eq!(tile.len(), row.len());
+    let (body, rest) = row.as_chunks::<LANES>();
+    let (tile_body, tile_rest) = tile.as_chunks::<LANES>();
+    let z = [0.0f32; QTILE];
+    let (mut a0, mut a1, mut a2, mut a3) = (z, z, z, z);
+    let (mut a4, mut a5, mut a6, mut a7) = (z, z, z, z);
+    for (x, q) in body.iter().zip(tile_body) {
+        a0 = lane_step(a0, x[0], &q[0]);
+        a1 = lane_step(a1, x[1], &q[1]);
+        a2 = lane_step(a2, x[2], &q[2]);
+        a3 = lane_step(a3, x[3], &q[3]);
+        a4 = lane_step(a4, x[4], &q[4]);
+        a5 = lane_step(a5, x[5], &q[5]);
+        a6 = lane_step(a6, x[6], &q[6]);
+        a7 = lane_step(a7, x[7], &q[7]);
+    }
+    let mut tail = z;
+    for (&x, q) in rest.iter().zip(tile_rest) {
+        tail = lane_step(tail, x, q);
+    }
+    let mut out = z;
+    for i in 0..QTILE {
+        out[i] =
+            ((a0[i] + a4[i]) + (a1[i] + a5[i])) + ((a2[i] + a6[i]) + (a3[i] + a7[i])) + tail[i];
+    }
+    out
+}
+
+/// `acc[i] + x·q[i]` for every query `i` of a tile: one coordinate's
+/// step of `dot`'s accumulation, for eight queries at once.
+// audit:allow(E701): i < QTILE indexes [f32; QTILE] arrays — statically
+// in bounds
+#[inline(always)]
+fn lane_step(mut acc: [f32; QTILE], x: f32, q: &[f32; QTILE]) -> [f32; QTILE] {
+    for i in 0..QTILE {
+        acc[i] += x * q[i];
+    }
+    acc
 }
 
 /// One scored candidate, ordered "greater ranks higher": descending
@@ -152,7 +259,10 @@ impl PartialOrd for Hit {
 ///
 /// Once the heap is full, a cached copy of the current worst member
 /// rejects non-improving candidates with one float compare — the
-/// common case on a large table — before ever touching the heap.
+/// common case on a large table — before ever touching the heap, and
+/// [`consume`](BlockConsumer::consume) skips every chunk of eight
+/// scores that holds none reaching it with one vector compare, before
+/// the filter cursor walks the chunk.
 pub struct StreamTopK<'a> {
     k: usize,
     filt: &'a [u32],
@@ -217,18 +327,15 @@ impl<'a> StreamTopK<'a> {
             .map(|r| r.0)
             .collect()
     }
-}
 
-impl BlockConsumer for StreamTopK<'_> {
+    /// Offer the candidates `first, first + 1, …` scoring `scores`,
+    /// skipping filtered ids.
     // audit:allow(E701): filt[cursor] is guarded by cursor < filt.len()
-    // in both the loop condition and the short-circuit below it; k == 0
-    // sinks never push (heap.len() < k is false and peek is None)
-    fn consume(&mut self, base: u32, scores: &[f32]) {
-        if self.k == 0 {
-            return;
-        }
+    // in both the loop condition and the short-circuit below it
+    #[inline]
+    fn offer_run(&mut self, first: u32, scores: &[f32]) {
         for (off, &score) in scores.iter().enumerate() {
-            let id = base + off as u32;
+            let id = first + off as u32;
             // Blocks arrive in ascending row order, so the filter
             // cursor only moves forward.
             while self.cursor < self.filt.len() && self.filt[self.cursor] < id {
@@ -239,6 +346,33 @@ impl BlockConsumer for StreamTopK<'_> {
             }
             self.offer(Hit { id, score });
         }
+    }
+}
+
+impl BlockConsumer for StreamTopK<'_> {
+    fn consume(&mut self, base: u32, scores: &[f32]) {
+        if self.k == 0 {
+            return;
+        }
+        let (chunks, rest) = scores.as_chunks::<REJECT_CHUNK>();
+        let mut first = base;
+        for chunk in chunks {
+            // Whole-chunk reject: against a full heap whose worst member
+            // is a number, a score below it or NaN cannot enter (the
+            // fast reject in `offer`), so a chunk with no score `>=` the
+            // worst changes nothing and is skipped; the filter cursor
+            // catches up lazily at the next chunk it walks. A NaN worst
+            // falls through to `offer`'s exact compare.
+            let worst = self.worst.score;
+            let skip = self.heap.len() == self.k
+                && !worst.is_nan()
+                && !chunk.iter().fold(false, |hit, &s| hit | (s >= worst));
+            if !skip {
+                self.offer_run(first, chunk);
+            }
+            first += REJECT_CHUNK as u32;
+        }
+        self.offer_run(first, rest);
     }
 }
 
@@ -324,9 +458,10 @@ mod tests {
 
     #[test]
     fn scan_matches_matvec_bitwise() {
-        // Row counts straddling the block size, query counts straddling
-        // the register tile.
-        for (rows, nq) in [(1usize, 1usize), (7, 3), (256, 4), (300, 5), (513, 9)] {
+        // Row counts straddling the block size, query counts on the
+        // one-query path and straddling the eight-query tile (the
+        // integration tests add dims with remainder coordinates).
+        for (rows, nq) in [(1usize, 1usize), (7, 3), (256, 4), (300, 8), (513, 9)] {
             let dim = 16;
             let (table, qvecs) = table_and_queries(rows, dim, nq);
             let mut sinks: Vec<Collect> = (0..nq).map(|_| Collect(Vec::new())).collect();

@@ -180,13 +180,15 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Four dot products against one shared left operand, in a single pass:
 /// `[⟨x, y0⟩, ⟨x, y1⟩, ⟨x, y2⟩, ⟨x, y3⟩]`.
 ///
-/// The register tile behind the fused entity-table scan
-/// ([`crate::scan`]) and the blocked [`crate::Matrix::matvec`]: each
-/// chunk of `x` is loaded once and reused across four accumulator sets,
-/// quartering the dominant memory traffic of a table sweep. Per output,
-/// the multiply/accumulate sequence and lane-combine tree are exactly
-/// those of [`dot`], so `dot4(x, a, b, c, d)[i]` is bit-identical to
-/// `dot(x, yᵢ)` — the invariant the serve/eval agreement tests lean on.
+/// The register tile behind the blocked [`crate::Matrix::matvec`]:
+/// each chunk of `x` is loaded once and reused across four accumulator
+/// sets, quartering the dominant memory traffic of a table sweep. Per
+/// output, the multiply/accumulate sequence and lane-combine tree are
+/// exactly those of [`dot`], so `dot4(x, a, b, c, d)[i]` is
+/// bit-identical to `dot(x, yᵢ)` — the invariant the serve/eval
+/// agreement tests lean on. (The fused entity-table scan,
+/// [`crate::scan`], keeps the same per-output order in a transposed
+/// eight-query tile instead.)
 // audit:allow(E701): all indexing is lane index k < LANES over
 // chunks_exact(LANES) chunks of equal-length slices (debug-asserted),
 // statically in bounds

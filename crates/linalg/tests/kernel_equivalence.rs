@@ -263,8 +263,9 @@ fn scalar_feature_is_exactly_the_reference() {
 }
 
 /// `dot4(x, y0..y3)[i]` must be bit-identical to `dot(x, yi)` in *both*
-/// build variants — the invariant the fused scan (and through it the
-/// serve/eval agreement tests) leans on.
+/// build variants — the invariant `Matrix::matvec`, the dense reference
+/// the fused scan and the serve/eval agreement tests are checked
+/// against, leans on.
 #[test]
 fn dot4_bitwise_consistent_with_dot() {
     for n in lens() {
@@ -291,8 +292,39 @@ impl BlockConsumer for Collect {
     }
 }
 
+/// Equal bits, or NaN on both sides: Rust leaves the sign and payload
+/// of a NaN arithmetic result unspecified, so those bits are no part
+/// of the scan's contract.
+fn same_score(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Scans `qvecs` (`dim` floats per query) through `table` in one call
+/// and checks every score against `Matrix::matvec`.
+fn assert_scan_matches_matvec(table: &Matrix, qvecs: &[f32], what: &str) {
+    let dim = table.cols();
+    let nq = qvecs.len() / dim;
+    let mut sinks: Vec<Collect> = (0..nq).map(|_| Collect(Vec::new())).collect();
+    scan_rows(table, qvecs, &mut sinks);
+    let mut want = vec![0.0f32; table.rows()];
+    for (qi, sink) in sinks.iter().enumerate() {
+        table.matvec(&qvecs[qi * dim..(qi + 1) * dim], &mut want);
+        assert_eq!(sink.0.len(), want.len(), "{what} q={qi}");
+        for (e, (&g, &w)) in sink.0.iter().zip(&want).enumerate() {
+            assert!(
+                same_score(g, w),
+                "{what} q={qi} e={e}: scan {g:?} ({:#x}) vs matvec {w:?} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+}
+
 /// The fused scan must reproduce `Matrix::matvec` down to the bit for
-/// shapes straddling the cache-block and register-tile boundaries.
+/// shapes straddling the cache-block boundary, the eight-query tile
+/// (full tiles, padded tiles and the one-query `dot` path) and the
+/// eight-lane chunk (dims with and without remainder coordinates).
 #[test]
 fn scan_rows_agrees_with_matvec_bitwise() {
     let mut rng = Rng::seed_from_u64(123);
@@ -300,14 +332,54 @@ fn scan_rows_agrees_with_matvec_bitwise() {
         let dim = 24;
         let table = Matrix::uniform_init(rows, dim, 1.0, &mut rng);
         let qvecs: Vec<f32> = (0..nq * dim).map(|_| rng.normal()).collect();
-        let mut sinks: Vec<Collect> = (0..nq).map(|_| Collect(Vec::new())).collect();
-        scan_rows(&table, &qvecs, &mut sinks);
-        let mut want = vec![0.0f32; rows];
-        for (qi, sink) in sinks.iter().enumerate() {
-            table.matvec(&qvecs[qi * dim..(qi + 1) * dim], &mut want);
-            for (e, (&g, &w)) in sink.0.iter().zip(&want).enumerate() {
-                assert_eq!(g.to_bits(), w.to_bits(), "rows={rows} nq={nq} q={qi} e={e}");
+        assert_scan_matches_matvec(&table, &qvecs, &format!("rows={rows} nq={nq}"));
+    }
+    for dim in [1usize, 7, 8, 12, 33] {
+        for rows in [255usize, 256, 257] {
+            let table = Matrix::uniform_init(rows, dim, 1.0, &mut rng);
+            for nq in [1usize, 2, 3, 8, 9, 16, 17] {
+                let qvecs: Vec<f32> = (0..nq * dim).map(|_| rng.normal()).collect();
+                let what = format!("dim={dim} rows={rows} nq={nq}");
+                assert_scan_matches_matvec(&table, &qvecs, &what);
             }
+        }
+    }
+}
+
+/// Signed zeros and non-finite queries through the tile: a zero row
+/// against an all-negative query sums `-0.0` products into `dot`'s
+/// `+0.0` accumulators (the score is `+0.0`), a query holding `+inf`
+/// and `-inf` scores `±inf` or NaN, a NaN query scores NaN, and none of
+/// them may leak into the other queries of its tile.
+#[test]
+fn scan_rows_handles_signed_zeros_and_non_finite_queries() {
+    let mut rng = Rng::seed_from_u64(456);
+    for dim in [1usize, 7, 8, 12, 33] {
+        let mut table = Matrix::uniform_init(257, dim, 1.0, &mut rng);
+        for v in table.row_mut(3) {
+            *v = 0.0;
+        }
+        for v in table.row_mut(200) {
+            *v = -0.0;
+        }
+        for nq in [2usize, 3, 8, 9, 16, 17] {
+            let mut qvecs: Vec<f32> = (0..nq * dim).map(|_| rng.normal()).collect();
+            for v in &mut qvecs[..dim] {
+                *v = -v.abs() - 0.25;
+            }
+            let q1 = &mut qvecs[dim..2 * dim];
+            q1[dim - 1] = f32::INFINITY;
+            q1[0] = f32::NEG_INFINITY;
+            if nq > 2 {
+                qvecs[(nq - 1) * dim + dim / 2] = f32::NAN;
+            }
+            let what = format!("dim={dim} nq={nq}");
+            assert_scan_matches_matvec(&table, &qvecs, &what);
+            // The zero rows score +0.0 against the negative query.
+            let mut sinks: Vec<Collect> = (0..nq).map(|_| Collect(Vec::new())).collect();
+            scan_rows(&table, &qvecs, &mut sinks);
+            assert_eq!(sinks[0].0[3].to_bits(), 0.0f32.to_bits(), "{what}");
+            assert_eq!(sinks[0].0[200].to_bits(), 0.0f32.to_bits(), "{what}");
         }
     }
 }
@@ -370,5 +442,118 @@ fn streaming_consumers_agree_with_dense_reference() {
         }
         let want = 1.0 + better as f64 + ties as f64 / 2.0;
         assert_eq!(got, want, "target={target}");
+    }
+}
+
+/// The top-k half of the test above through one eight-query scan (the
+/// transposed tile and `StreamTopK`'s whole-chunk reject), each query
+/// with its own `k` and filter: rows 100, 350 and 600 are equal, so
+/// every query has a three-way tie, and query `i`'s `k` puts that tie
+/// exactly at its threshold, where the smallest id must enter and the
+/// two larger ones stay out; row 5 scores NaN for every query, so at
+/// `k = 10` each heap fills with a NaN worst member that later numbers
+/// must still push out (the reject stands aside while the worst is
+/// NaN), and query 7 scores NaN on every row; each query's best row is
+/// filtered, so a filtered id scores above every threshold; and the
+/// same queries run again with `k` above the candidate count.
+#[test]
+fn stream_topk_through_a_tile_agrees_with_dense_reference() {
+    let mut rng = Rng::seed_from_u64(654);
+    let (rows, dim, nq) = (700usize, 16usize, 8usize);
+    let mut table = Matrix::uniform_init(rows, dim, 1.0, &mut rng);
+    let tied = table.row(350).to_vec();
+    table.row_mut(100).copy_from_slice(&tied);
+    table.row_mut(600).copy_from_slice(&tied);
+    table.row_mut(5)[5] = f32::NAN;
+    let mut qvecs: Vec<f32> = (0..nq * dim).map(|_| rng.normal()).collect();
+    qvecs[7 * dim + 3] = f32::NAN;
+    let dense: Vec<Vec<f32>> = (0..nq)
+        .map(|qi| {
+            let mut d = vec![0.0f32; rows];
+            table.matvec(&qvecs[qi * dim..(qi + 1) * dim], &mut d);
+            d
+        })
+        .collect();
+    let filts: Vec<Vec<u32>> = dense
+        .iter()
+        .map(|d| {
+            let best = (0..rows as u32)
+                .max_by_key(|&id| Hit {
+                    id,
+                    score: d[id as usize],
+                })
+                .unwrap();
+            assert!(![100, 350, 600].contains(&best), "a tied row is a best row");
+            let mut f: Vec<u32> = (0..rows as u32).step_by(37).collect();
+            f.push(best);
+            f.sort_unstable();
+            f.dedup();
+            f
+        })
+        .collect();
+    let reference = |qi: usize, k: usize| -> Vec<Hit> {
+        let mut want: Vec<Hit> = dense[qi]
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| filts[qi].binary_search(&(*i as u32)).is_err())
+            .map(|(i, &s)| Hit {
+                id: i as u32,
+                score: s,
+            })
+            .collect();
+        want.sort_by(|a, b| b.cmp(a));
+        want.truncate(k);
+        want
+    };
+    // k at the tie: one more than the candidates scoring strictly
+    // above row 100 (for query 7 every score is NaN, so row 100 is
+    // reached in id order).
+    let at_tie: Vec<usize> = (0..nq)
+        .map(|qi| {
+            let t = Hit {
+                id: 100,
+                score: dense[qi][100],
+            };
+            1 + reference(qi, rows).iter().take_while(|&&h| h > t).count()
+        })
+        .collect();
+    for ks in [
+        at_tie.clone(),
+        vec![10; nq],
+        vec![rows; nq],
+        vec![rows + 300; nq],
+    ] {
+        let mut sinks: Vec<StreamTopK> = (0..nq)
+            .map(|qi| StreamTopK::new(ks[qi], &filts[qi]))
+            .collect();
+        scan_rows(&table, &qvecs, &mut sinks);
+        for (qi, sink) in sinks.into_iter().enumerate() {
+            let got = sink.into_sorted();
+            let want = reference(qi, ks[qi]);
+            assert_eq!(got.len(), want.len(), "q={qi} k={}", ks[qi]);
+            for (g, w) in got.iter().zip(&want) {
+                assert!(
+                    g.id == w.id && same_score(g.score, w.score),
+                    "q={qi} k={}: got {g:?}, want {w:?}",
+                    ks[qi]
+                );
+            }
+            if ks == at_tie {
+                let ids: Vec<u32> = got.iter().map(|h| h.id).collect();
+                assert_eq!(
+                    ids.last(),
+                    Some(&100),
+                    "q={qi}: the smallest tied id enters"
+                );
+                assert!(
+                    !ids.contains(&350) && !ids.contains(&600),
+                    "q={qi}: {ids:?}"
+                );
+            }
+            assert!(
+                got.iter().all(|h| filts[qi].binary_search(&h.id).is_err()),
+                "q={qi}"
+            );
+        }
     }
 }

@@ -9,14 +9,18 @@
 //! dot products against entity rows. The engine hands a whole query
 //! group to the fused, cache-blocked scan kernel
 //! (`eras_linalg::scan::scan_rows`): the entity table is tiled into
-//! L1/L2-sized row blocks, queries are register-tiled four at a time
-//! over each block, and every query's scores stream into its own
+//! L1/L2-sized row blocks, a group's query vectors are transposed into
+//! one tile of eight that scores each row of a block for all eight
+//! queries at once, and every query's scores stream into its own
 //! bounded top-k heap (`eras_linalg::scan::StreamTopK`) — one table
 //! pass per group (`O(N_e · B · d)` flops but `O(N_e · d)` memory
 //! traffic), no per-entity score vector ever materialized. Each heap
 //! keeps a cursor into its sorted filter list, so filtered candidates
 //! are skipped in `O(1)` amortised, and a cached worst-score threshold
-//! rejects non-improving candidates with one float compare.
+//! rejects non-improving candidates with one float compare, or whole
+//! chunks of eight with one vector compare. A group of one query (the
+//! single-query path, [`QueryEngine::answer`]) scores with one dot
+//! product per row; both paths give the same bits.
 //!
 //! ## Ranking order
 //!
@@ -131,7 +135,8 @@ impl std::error::Error for ServeError {}
 
 /// Queries per batch-scoring shard. A group shares one pass over the
 /// entity table; the group size is fixed (never a function of the pool
-/// size) so batches shard the same way on every machine.
+/// size) so batches shard the same way on every machine, and equals
+/// the scan's tile width, so a full group fills exactly one tile.
 const BATCH_SHARD_QUERIES: usize = 8;
 
 fn lock_cache<'a>(
@@ -358,10 +363,12 @@ impl QueryEngine {
     }
 
     /// One fused, cache-blocked pass over the entity table for a group
-    /// of queries (`eras_linalg::scan::scan_rows`): a group of `B`
-    /// queries costs one table pass, with entity rows register-tiled
-    /// four queries at a time and scores streamed straight into each
-    /// query's bounded heap.
+    /// of queries (`eras_linalg::scan::scan_rows`): a group of up to
+    /// [`BATCH_SHARD_QUERIES`] = 8 queries costs one table pass, with
+    /// each entity row scored against the group's transposed tile of
+    /// eight (a group of two to seven pads it with zero queries; a group
+    /// of one scores with one dot product per row) and scores streamed
+    /// straight into each query's bounded heap.
     // audit:allow(E701): qvecs is sized queries.len() * dim up front,
     // and qi always comes from enumerate() over queries
     fn topk_group(&self, queries: &[Query]) -> Vec<Vec<Ranked>> {
@@ -511,30 +518,38 @@ mod tests {
         }
     }
 
+    /// A batch of 19 queries runs as groups of 8, 8 and 3 — two full
+    /// eight-query tiles and one padded tile — over 600 entities (three
+    /// cache blocks) at dim 20 (four remainder coordinates per row);
+    /// every answer must equal the brute-force reference and the
+    /// one-query answer in ids and score bits.
     #[test]
     fn batch_answers_match_individual_answers() {
-        let eng = engine(0);
-        let queries: Vec<Query> = (0..10u32)
+        let eng = QueryEngine::new(tiny_snapshot(600, 3, 20, 11), 0).expect("valid snapshot");
+        let queries: Vec<Query> = (0..19u32)
             .map(|i| Query {
                 dir: if i % 2 == 0 {
                     Direction::Tail
                 } else {
                     Direction::Head
                 },
-                anchor: i % 20,
-                rel: i % 2,
-                k: 5,
+                anchor: (i * 31) % 600,
+                rel: i % 3,
+                k: [1, 5, 10, 40][i as usize % 4],
                 filtered: i % 3 == 0,
             })
             .collect();
         let batch = eng.answer_batch(&queries).expect("batch ok");
         assert_eq!(batch.len(), queries.len());
+        let bits = |r: &[Ranked]| -> Vec<(u32, u32)> {
+            r.iter().map(|x| (x.id, x.score.to_bits())).collect()
+        };
         for (q, a) in queries.iter().zip(&batch) {
-            let solo = eng.answer(*q).expect("solo ok");
             assert_eq!(a.query, *q);
-            let ids: Vec<u32> = a.ranked.iter().map(|r| r.id).collect();
-            let solo_ids: Vec<u32> = solo.ranked.iter().map(|r| r.id).collect();
-            assert_eq!(ids, solo_ids, "{q:?}");
+            assert_eq!(a.ranked.len(), q.k, "{q:?}");
+            assert_eq!(bits(&a.ranked), bits(&reference(&eng, *q)), "{q:?}");
+            let solo = eng.answer(*q).expect("solo ok");
+            assert_eq!(bits(&a.ranked), bits(&solo.ranked), "{q:?}");
         }
     }
 
